@@ -13,9 +13,8 @@ from .channel import (ChannelParams, SymbolBatch, MeasurementBatch,
 from .errors import (CvqkdError, InvalidConfigError, ProtocolAbort,
                      ProtocolError, VerificationFailedError)
 from .pipeline import PipelineConfig, run_pipeline
-from .security import (binary_entropy, error_probability, eve_information,
-                       net_information, optimal_modulation_variance,
-                       theoretical_key_rate_curve)
+from .security import (binary_entropy, error_probability,
+                       optimal_modulation_variance, theoretical_key_rate_curve)
 
 __version__ = "0.1.0"
 
@@ -24,7 +23,6 @@ __all__ = [
     "generate_symbols", "transmit_and_measure", "CvqkdError",
     "InvalidConfigError", "ProtocolAbort", "ProtocolError",
     "VerificationFailedError", "PipelineConfig", "run_pipeline",
-    "binary_entropy", "error_probability", "eve_information",
-    "net_information", "optimal_modulation_variance",
+    "binary_entropy", "error_probability", "optimal_modulation_variance",
     "theoretical_key_rate_curve", "__version__",
 ]

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from . import channel, dsp, pipeline, security, session
+from . import bands, channel, dsp, pipeline, security, session
 from .errors import CvqkdError, InvalidConfigError
 from .rng import stream
 
@@ -88,13 +88,9 @@ def write_run_artifacts(out_dir, config, result):
                  pipeline.ledger_text(result.records))
     atomic_write(os.path.join(out_dir, "config.txt"), config.to_text())
     atomic_write(os.path.join(out_dir, "key.bin"), result.key_bytes)
-    kept = result.sifted_kept
-    from . import bands as _bands
-    band_idx = result.postselection.partition.band_of(
-        kept, result.estimate.eta("x"), result.estimate.eta("p")
-    )
     tmp = os.path.join(out_dir, ".tmp-kept.csv")
-    _bands.write_kept_csv(tmp, kept, band_idx)
+    bands.write_kept_csv(tmp, result.sifted_kept,
+                         result.postselection.partition.band_idx)
     os.replace(tmp, os.path.join(out_dir, "kept.csv"))
 
 

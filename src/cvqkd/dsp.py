@@ -239,12 +239,6 @@ def decode_waveform(waveform, config, n_symbols=None, equalize=True):
     return out
 
 
-def transient_symbols(config):
-    """Symbols consumed by filter transients per stream (for throughput
-    accounting)."""
-    return 2 * _pad_symbols(config)
-
-
 def dsp_roundtrip(symbols, config, noise_seed=None, noise_var=VACUUM_VAR):
     """Synthesize then decode, returning exactly len(symbols) estimates."""
     wf = synthesize_waveform(symbols, config, noise_seed, noise_var)

@@ -13,17 +13,16 @@ the pipeline.  Banded per-symbol net information (the post-selection
 target function) is reported separately by the post-selection step.
 """
 
+import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import bands, channel, privamp, reconcile, security
-from .errors import InvalidConfigError, NumericalFailureError
+from . import bands, channel, privamp, reconcile, security, wire
+from .channel import QUADRATURES
+from .errors import InvalidConfigError, NumericalFailureError, ProtocolError
 from .rng import stream
-
-STAGES = ("raw", "post_selected", "advantage_distilled", "reconciled",
-          "amplified")
 
 
 @dataclass
@@ -164,7 +163,6 @@ class PipelineResult:
     key_bytes: bytes
     confirmed: bool
     sifted_kept: bands.SiftedData
-    band_order: list
 
 
 def reveal_indices(seed, n_symbols, reveal_fraction, min_reveal):
@@ -173,7 +171,137 @@ def reveal_indices(seed, n_symbols, reveal_fraction, min_reveal):
     return np.sort(rng.choice(n_symbols, size=k, replace=False))
 
 
-def predicted_band_errors(sifted_kept, band_idx, partition, est):
+def sift_layout(config):
+    """The revealed estimation subset, and the mask that picks the sifted
+    positions out of the x bits then the p bits of all symbols: every
+    symbol outside that subset, x block first."""
+    idx = reveal_indices(config.seed, config.n_symbols,
+                         config.reveal_fraction, config.min_reveal)
+    symbol_mask = np.ones(config.n_symbols, dtype=bool)
+    symbol_mask[idx] = False
+    return idx, np.tile(symbol_mask, 2)
+
+
+def calibration_mask(config, n_sift):
+    """Under ``holdout``, the random tenth of the sifted positions whose kept
+    bits set the band boundaries and the ``p_emp`` tallies; else None."""
+    if not config.holdout:
+        return None
+    mask = np.zeros(n_sift, dtype=bool)
+    mask[stream(config.seed, "protocol", "holdout").choice(
+        n_sift, size=n_sift // 10, replace=False)] = True
+    return mask
+
+
+@dataclass
+class BandPlan:
+    """The receiver's public banding announcement.
+
+    ``keep`` covers the sifted positions and ``band_idx`` the kept ones;
+    ``slices`` groups the kept bits by band.
+    """
+
+    eta_x: float
+    eta_p: float
+    keep: np.ndarray          # bool over sifted positions
+    band_idx: np.ndarray      # uint8 per kept point
+    n_bands: int
+    boundaries_x: np.ndarray
+    boundaries_p: np.ndarray
+    p_pred: dict              # (quad, band) -> predicted error
+    repeat_ns: dict           # (quad, band) -> repeat length
+    order: list               # (quad, band) processing order
+    slices: bands.BandSlices = field(repr=False, compare=False)
+
+    def split(self, values):
+        """Per-kept-bit ``values`` (last axis) cut into one array per band,
+        in processing order."""
+        values = values[..., self.slices.order]
+        return [values[..., self.slices[quad, k]] for quad, k in self.order]
+
+    def pack(self):
+        out = [struct.pack("<dd", self.eta_x, self.eta_p),
+               wire.pack_bits(self.keep.astype(np.uint8)),
+               struct.pack("<Q", len(self.band_idx)),
+               self.band_idx.astype(np.uint8).tobytes(),
+               struct.pack("<I", self.n_bands),
+               wire.pack_floats(self.boundaries_x),
+               wire.pack_floats(self.boundaries_p)]
+        for quad in QUADRATURES:
+            out.append(wire.pack_floats(
+                [self.p_pred[(quad, k)] for k in range(self.n_bands)]
+            ))
+            out.append(bytes(
+                self.repeat_ns[(quad, k)] for k in range(self.n_bands)
+            ))
+        out.append(bytes(
+            b for quad, k in self.order for b in (quad == "p", k)
+        ))
+        return b"".join(out)
+
+    @classmethod
+    def unpack(cls, buf, n_sift, n_bands):
+        """Decode a plan for ``n_sift`` sifted positions and ``n_bands``
+        bands; a plan that does not fit them raises ``ProtocolError``."""
+        eta_x, eta_p = wire.unpack_from("<dd", buf, 0)
+        keep_u8, off = wire.unpack_bits(buf, 16)
+        keep = keep_u8.astype(bool)
+        (n_kept,) = wire.unpack_from("<Q", buf, off)
+        band_idx = np.frombuffer(wire.take(buf, off + 8, n_kept),
+                                 dtype=np.uint8).copy()
+        off += 8 + n_kept
+        (got_bands,) = wire.unpack_from("<I", buf, off)
+        off += 4
+        if len(keep) != n_sift or got_bands != n_bands:
+            raise ProtocolError(
+                f"plan for {len(keep)} positions and {got_bands} bands, "
+                f"expected {n_sift} and {n_bands}")
+        if n_kept != np.count_nonzero(keep) or np.any(band_idx >= n_bands):
+            raise ProtocolError("band index does not fit the keep mask")
+        bx, off = wire.unpack_floats(buf, off)
+        bp, off = wire.unpack_floats(buf, off)
+        p_pred = {}
+        repeat_ns = {}
+        for quad in QUADRATURES:
+            vals, off = wire.unpack_floats(buf, off)
+            reps = wire.take(buf, off, n_bands)
+            off += n_bands
+            if len(vals) != n_bands or min(reps) < 1:
+                raise ProtocolError("bad predicted errors or repeat lengths")
+            for k in range(n_bands):
+                p_pred[(quad, k)] = float(vals[k])
+                repeat_ns[(quad, k)] = reps[k]
+        raw = wire.take(buf, off, 4 * n_bands)
+        order = [("p" if raw[i] else "x", raw[i + 1])
+                 for i in range(0, len(raw), 2)]
+        if set(order) != set(p_pred):
+            raise ProtocolError("processing order is not a band permutation")
+        quad_kept = np.repeat(np.array([0, 1], np.uint8), n_sift // 2)[keep]
+        return cls(eta_x, eta_p, keep, band_idx, n_bands, bx, bp, p_pred,
+                   repeat_ns, order,
+                   bands.BandSlices(quad_kept, band_idx, n_bands))
+
+
+def band_plan(ps, est, config):
+    """The receiver's plan from his post-selection: keep mask, partition
+    boundaries and band index, predicted errors, repeat lengths and order."""
+    eta_x, eta_p = est.eta("x"), est.eta("p")
+    p_pred = predicted_band_errors(
+        bands.band_statistic(ps.kept, eta_x, eta_p), ps.slices
+    )
+    repeat_ns = {
+        key: reconcile.choose_repeat_n(p, config.ad_target, config.ad_cap)
+        for key, p in p_pred.items()
+    }
+    part = ps.partition
+    return BandPlan(
+        eta_x, eta_p, ps.mask, part.band_idx.astype(np.uint8), part.n_bands,
+        part.boundaries["x"], part.boundaries["p"], p_pred, repeat_ns,
+        band_processing_order(p_pred), ps.slices,
+    )
+
+
+def predicted_band_errors(u, slices):
     """Model-predicted error rate per band.
 
     The mean of the pointwise sign-flip probability over the band's kept
@@ -182,57 +310,49 @@ def predicted_band_errors(sifted_kept, band_idx, partition, est):
     compute it without reference bits and announce it; this drives the
     repeat-code length and Cascade block sizing in both run modes.
     """
-    u = bands.band_statistic(sifted_kept, est.eta("x"), est.eta("p"))
-    pu = security.error_probability_u(u)
-    out = {}
-    for qi, quad in enumerate(("x", "p")):
-        sel = sifted_kept.quad == qi
-        vals_q = pu[sel]
-        bq = band_idx[sel]
-        for k in range(partition.n_bands):
-            vals = vals_q[bq == k]
-            out[(quad, k)] = float(vals.mean()) if len(vals) else 0.0
-    return out
+    return slices.means(security.error_probability_u(u))
 
 
-def band_processing_order(p_pred, n_bands):
-    """(quad, band) pairs from lowest to highest predicted error."""
-    entries = []
-    for qi, quad in enumerate(("x", "p")):
-        for k in range(n_bands):
-            entries.append((p_pred[(quad, k)], qi, k, quad))
-    entries.sort()
-    return [(quad, k) for _, qi, k, quad in entries]
+def band_processing_order(p_pred):
+    """(quad, band) pairs from lowest to highest predicted error; ties go
+    x before p, then by band."""
+    return sorted(p_pred, key=lambda key: (p_pred[key],
+                                           QUADRATURES.index(key[0]), key[1]))
 
 
-def band_bits(sifted_kept, band_idx, quad, band):
-    qi = 0 if quad == "x" else 1
-    sel = (sifted_kept.quad == qi) & (band_idx == band)
-    return sifted_kept.alice_bit[sel], sifted_kept.bob_bit[sel]
-
-
-def eve_band_bounds(sifted_kept, band_idx, partition, est, doubled_exponent):
+def eve_band_bounds(iae, slices):
     """Per-band information-equivalent Eve error bound on the kept points.
 
-    The band's mean of Eve's information bound is converted to the error
-    probability of a binary channel with that capacity (her
+    The band's mean of Eve's information bound ``iae`` is converted to the
+    error probability of a binary channel with that capacity (her
     modulation-averaged knowledge expressed as a single error rate).
     """
-    out = {}
-    for qi, quad in enumerate(("x", "p")):
-        eta = est.eta(quad)
-        sel = sifted_kept.quad == qi
-        iae = security.eve_information_quadrature(
-            sifted_kept.abs_v_a[sel], eta, doubled_exponent
-        )
-        bq = band_idx[sel]
-        for k in range(partition.n_bands):
-            vals = iae[bq == k]
-            mean_iae = float(vals.mean()) if len(vals) else 0.0
-            out[(quad, k)] = float(
-                security.inverse_binary_entropy(1.0 - min(mean_iae, 1.0))
-            )
-    return out
+    return {
+        key: float(security.inverse_binary_entropy(1.0 - min(mean, 1.0)))
+        for key, mean in slices.means(iae).items()
+    }
+
+
+def band_records(plan, abs_v_a, doubled_exponent):
+    """The band records both parties derive from the plan and the kept
+    magnitudes, in processing order."""
+    iae = bands.eve_information_bits(plan.slices.quad, abs_v_a, plan.eta_x,
+                                     plan.eta_p, doubled_exponent)
+    eve_bounds = eve_band_bounds(iae, plan.slices)
+    records = []
+    for key in plan.order:
+        s = plan.slices[key]
+        records.append(BandRecord(*key, 0.0, plan.p_pred[key],
+                                  eve_bounds[key], plan.repeat_ns[key],
+                                  s.stop - s.start))
+    return records
+
+
+def set_p_emp(records, partition):
+    """Copy the partition's empirical error rates into the records."""
+    p_emp = partition.p_emp
+    for rec in records:
+        rec.p_emp = float(p_emp[QUADRATURES.index(rec.quad), rec.band])
 
 
 def ad_stream(seed, quad, band):
@@ -252,12 +372,40 @@ def confirm_seed_value(seed):
     return int(stream(seed, "protocol", "confirm").integers(1 << 62))
 
 
-def size_final_keys(records, security_bits):
-    """Reserve the confirm-hash disclosure, then size every band.
+def band_step(rec, bits, distill, correct):
+    """One band's advantage distillation and Cascade, with the ledger
+    bookkeeping every run mode shares.
 
-    The sizing input is Eve's post-distillation error bound (mask leakage
-    is already folded into it by the repeat-code update) and the band's
-    Cascade leakage.
+    ``distill(rec, bits)`` runs the repeat-code exchange and returns the
+    distilled bits and the number of announced mask bits;
+    ``correct(rec, bits, beta_hat)`` runs Cascade and returns the
+    reconciled bits and the number of disclosed bits.  ``bits`` is one
+    party's string, or, in the in-process run, both parties' strings as the
+    two rows of one array.
+    """
+    if rec.repeat_n > 1:
+        bits, rec.ad_mask_bits = distill(rec, bits)
+    rec.n_distilled = bits.shape[-1]
+    rec.bob_error_ad = float(reconcile.ad_error(rec.p_pred, rec.repeat_n))
+    rec.eve_error_ad = float(reconcile.eve_ad_error(rec.eve_error,
+                                                    rec.repeat_n))
+    if rec.n_distilled > 0:
+        bits, rec.cascade_bits = correct(rec, bits,
+                                         max(rec.bob_error_ad, 1e-3))
+    rec.eve_error_ir = reconcile.eve_error_after_leak(
+        rec.eve_error_ad, rec.cascade_bits, rec.n_distilled
+    )
+    return bits
+
+
+def finish_keys(records, parties, config):
+    """Size every band, then hash each party's band strings into its key.
+
+    The confirm-hash disclosure is reserved first.  The sizing input is
+    Eve's post-distillation error bound (mask leakage is already folded
+    into it by the repeat-code update) and the band's Cascade leakage.
+    ``parties`` holds, per party, one bit string per record; one key is
+    returned per party.
     """
     if records:
         largest = max(records, key=lambda rec: rec.n_distilled)
@@ -265,25 +413,33 @@ def size_final_keys(records, security_bits):
     for rec in records:
         rec.key_bits = privamp.final_key_length(
             rec.n_distilled, rec.eve_error_ad,
-            rec.cascade_bits + rec.confirm_bits, security_bits,
+            rec.cascade_bits + rec.confirm_bits, config.security_bits,
         )
-    return records
+    keys = []
+    for band_bits in parties:
+        parts = [
+            privamp.toeplitz_hash(bits, rec.key_bits, pa_seed_value(
+                config.seed, rec.quad, rec.band))
+            for rec, bits in zip(records, band_bits) if rec.key_bits
+        ]
+        keys.append(np.concatenate(parts) if parts
+                    else np.zeros(0, dtype=np.uint8))
+    return keys
 
 
 def run_pipeline(config):
-    """Full in-process run; produces keys for both parties plus the stage
-    report and the per-band ledger."""
+    """Full in-process run; plays both parties with local objects and
+    produces keys for both plus the stage report and the per-band ledger."""
     t0 = time.monotonic()
     config.resolve_var_mod()
     params = config.channel_params()
     seed = config.seed
-    n = config.n_symbols
 
-    symbols = channel.generate_symbols(n, params, seed)
+    symbols = channel.generate_symbols(config.n_symbols, params, seed)
     meas, _ = channel.transmit_and_measure(symbols, params, seed)
 
     # parameter estimation on a revealed subset, excluded from key material
-    idx = reveal_indices(seed, n, config.reveal_fraction, config.min_reveal)
+    idx, sift_mask = sift_layout(config)
     revealed_syms = channel.SymbolBatch(symbols.x_a[idx], symbols.p_a[idx])
     revealed_meas = channel.MeasurementBatch(meas.x_b[idx], meas.p_b[idx])
     est = channel.estimate_channel(revealed_syms, revealed_meas)
@@ -294,94 +450,39 @@ def run_pipeline(config):
         sample = values if len(values) <= 100_000 else values[:100_000]
         gauss.append((label, channel.gaussianity_check(sample)))
 
-    sifted_all = bands.sift(symbols, meas)
-    symbol_mask = np.ones(n, dtype=bool)
-    symbol_mask[idx] = False
-    sifted = sifted_all.subset(np.concatenate([symbol_mask, symbol_mask]))
-
-    calib_mask = None
-    if config.holdout:
-        n_sift = len(sifted)
-        calib_mask = np.zeros(n_sift, dtype=bool)
-        calib_mask[stream(seed, "protocol", "holdout").choice(
-            n_sift, size=n_sift // 10, replace=False)] = True
-
+    sifted = bands.sift(symbols, meas).subset(sift_mask)
     ps = bands.postselect(sifted, est, config.n_bands,
                           config.doubled_exponent,
-                          calibration_mask=calib_mask)
-    partition = ps.partition
+                          calibration_mask(config, len(sifted)))
     kept = ps.kept
-    band_idx = partition.band_of(kept, est.eta("x"), est.eta("p"))
-    eve_bounds = eve_band_bounds(kept, band_idx, partition, est,
-                                 config.doubled_exponent)
-    p_pred = predicted_band_errors(kept, band_idx, partition, est)
+    plan = band_plan(ps, est, config)
+    records = band_records(plan, kept.abs_v_a, config.doubled_exponent)
+    set_p_emp(records, ps.partition)
 
-    order = band_processing_order(p_pred, partition.n_bands)
-    records = []
-    alice_parts = []
-    bob_parts = []
-    for quad, k in order:
-        a_bits, b_bits = band_bits(kept, band_idx, quad, k)
-        qi = 0 if quad == "x" else 1
-        rec = BandRecord(quad, k, float(partition.p_emp[qi, k]),
-                         p_pred[(quad, k)], eve_bounds[(quad, k)],
-                         n_kept=len(a_bits))
-        rec.repeat_n = reconcile.choose_repeat_n(rec.p_pred, config.ad_target,
-                                                 config.ad_cap)
-        if rec.repeat_n == 1:
-            dist_a, dist_b = a_bits.copy(), b_bits.copy()
-        else:
-            ad = reconcile.advantage_distill(
-                a_bits, b_bits, rec.repeat_n, ad_stream(seed, quad, k)
-            )
-            dist_a, dist_b = ad.alice_bits, ad.bob_bits
-            rec.ad_mask_bits = ad.leaked_bits
-        rec.n_distilled = len(dist_a)
-        rec.bob_error_ad = float(reconcile.ad_error(rec.p_pred, rec.repeat_n))
-        rec.eve_error_ad = float(reconcile.eve_ad_error(rec.eve_error,
-                                                        rec.repeat_n))
-        if rec.n_distilled > 0:
-            beta_hat = max(rec.bob_error_ad, 1e-3)
-            result, _oracle = reconcile.cascade(
-                dist_a, dist_b, beta_hat,
-                cascade_stream_factory(seed, quad, k),
-                passes=config.cascade_passes,
-            )
-            dist_b = result.bits
-            rec.cascade_bits = result.leaked_bits
-        rec.eve_error_ir = reconcile.eve_error_after_leak(
-            rec.eve_error_ad, rec.cascade_bits, rec.n_distilled
+    def distill(rec, bits):
+        ad = reconcile.advantage_distill(bits[0], bits[1], rec.repeat_n,
+                                         ad_stream(seed, rec.quad, rec.band))
+        return np.stack([ad.alice_bits, ad.bob_bits]), ad.leaked_bits
+
+    def correct(rec, bits, beta_hat):
+        result, _ = reconcile.cascade(
+            bits[0], bits[1], beta_hat,
+            cascade_stream_factory(seed, rec.quad, rec.band),
+            passes=config.cascade_passes,
         )
-        records.append(rec)
-        alice_parts.append((quad, k, dist_a))
-        bob_parts.append((quad, k, dist_b))
+        return np.stack([bits[0], result.bits]), result.leaked_bits
 
-    size_final_keys(records, config.security_bits)
-
-    alice_key_parts = []
-    bob_key_parts = []
-    for rec, (_, _, a_bits), (_, _, b_bits) in zip(records, alice_parts,
-                                                   bob_parts):
-        if rec.key_bits == 0:
-            continue
-        pa_seed = pa_seed_value(seed, rec.quad, rec.band)
-        alice_key_parts.append(
-            privamp.toeplitz_hash(a_bits, rec.key_bits, pa_seed)
-        )
-        bob_key_parts.append(
-            privamp.toeplitz_hash(b_bits, rec.key_bits, pa_seed)
-        )
-    alice_key = np.concatenate(alice_key_parts) if alice_key_parts else \
-        np.zeros(0, dtype=np.uint8)
-    bob_key = np.concatenate(bob_key_parts) if bob_key_parts else \
-        np.zeros(0, dtype=np.uint8)
-
+    both = [band_step(rec, bits, distill, correct) for rec, bits in
+            zip(records, plan.split(np.stack([kept.alice_bit, kept.bob_bit])))]
+    alice_key, bob_key = finish_keys(
+        records, ([a for a, _ in both], [b for _, b in both]), config
+    )
     confirmed = privamp.key_confirm(alice_key, bob_key, confirm_seed_value(seed))
 
-    report = build_report(config, sifted, ps, records, est, t0)
+    report = build_report(config, sifted, kept, records, est, t0)
     return PipelineResult(
         report, records, est, gauss, ps, alice_key, bob_key,
-        privamp.pack_key(bob_key), confirmed, kept, order,
+        privamp.pack_key(bob_key), confirmed, kept,
     )
 
 
@@ -389,7 +490,17 @@ def _h(p):
     return float(security.binary_entropy(p))
 
 
-def build_report(config, sifted, ps, records, est, t0):
+def _eve_error(sifted, est, doubled_exponent):
+    """Eve's mean Helstrom error over the sifted bits."""
+    return float(np.mean(np.concatenate([
+        security.helstrom_error(security.eve_overlap(
+            sifted.abs_v_a[sifted.quad == qi], est.eta(quad),
+            doubled_exponent))
+        for qi, quad in enumerate(QUADRATURES)
+    ])))
+
+
+def build_report(config, sifted, kept, records, est, t0):
     """Stage table in the protocol's processing order.
 
     Each row's net information is h(p_Eve) - h(p_Bob) of the stage's
@@ -401,25 +512,15 @@ def build_report(config, sifted, ps, records, est, t0):
     raw_rate = 2.0 * symbol_rate
 
     raw_flip = float(np.mean(sifted.alice_bit != sifted.bob_bit))
-    eve_raw = float(np.mean(np.concatenate([
-        security.helstrom_error(security.eve_overlap(
-            sifted.abs_v_a[sifted.quad == qi], est.eta(quad),
-            config.doubled_exponent))
-        for qi, quad in ((0, "x"), (1, "p"))
-    ])))
+    eve_raw = _eve_error(sifted, est, config.doubled_exponent)
     rows = [StageRow("raw", raw_rate, raw_flip, eve_raw,
                      _h(eve_raw) - _h(raw_flip))]
 
-    kept = ps.kept
     n_kept = len(kept)
     post_rate = raw_rate * n_kept / len(sifted)
     kept_flip = float(np.mean(kept.alice_bit != kept.bob_bit)) if n_kept else 0.0
-    eve_post = float(np.mean(np.concatenate([
-        security.helstrom_error(security.eve_overlap(
-            kept.abs_v_a[kept.quad == qi], est.eta(quad),
-            config.doubled_exponent))
-        for qi, quad in ((0, "x"), (1, "p"))
-    ]))) if n_kept else 0.5
+    eve_post = _eve_error(kept, est, config.doubled_exponent) if n_kept \
+        else 0.5
     rows.append(StageRow("post_selected", post_rate, kept_flip, eve_post,
                          _h(eve_post) - _h(kept_flip)))
 

@@ -20,18 +20,6 @@ DEFAULT_SECURITY_BITS = 5
 CONFIRM_BITS = 64
 
 
-@dataclass(frozen=True)
-class PaConfig:
-    security_bits_s: int = DEFAULT_SECURITY_BITS
-    hash_family: str = "toeplitz"
-
-    def __post_init__(self):
-        if self.security_bits_s < 1:
-            raise InvalidConfigError("security margin s must be >= 1")
-        if self.hash_family != "toeplitz":
-            raise InvalidConfigError(f"unknown hash family {self.hash_family}")
-
-
 def final_key_length(m, p_err_eve, leaked_bits, s=DEFAULT_SECURITY_BITS):
     """Secure output length for a band of m reconciled bits."""
     if m < 0 or leaked_bits < 0:
@@ -75,13 +63,16 @@ def _toeplitz_apply(diag, bits, m, r):
 
 
 def key_confirm(alice_bits, bob_bits, seed):
-    """Compare short seeded hashes of both keys; mismatch aborts."""
+    """Compare short seeded hashes of both keys; mismatch aborts.
+
+    The rule in every run mode: a key is confirmed iff the confirm hashes
+    agree.  The hash of an empty key is empty, so an empty key is
+    vacuously confirmed.
+    """
     alice_bits = np.asarray(alice_bits, dtype=np.uint8)
     bob_bits = np.asarray(bob_bits, dtype=np.uint8)
     if len(alice_bits) != len(bob_bits):
         raise ProtocolAbort("declared key lengths differ")
-    if len(alice_bits) == 0:
-        return True
     r = min(CONFIRM_BITS, len(alice_bits))
     ha = toeplitz_hash(alice_bits, r, seed)
     hb = toeplitz_hash(bob_bits, r, seed)

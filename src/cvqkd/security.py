@@ -1,10 +1,10 @@
 """Closed-form information quantities for the no-switching protocol.
 
 Implements Eve's information bound from the coherent-state overlap, the
-sign-flip error probability of Bob's data, banded mutual information,
-net-information integrals over banded regions, net-information contour
-grids, the theoretical key-rate-versus-loss curve, and the order-2 Renyi
-entropy used to size the final key.
+sign-flip error probability of Bob's data, Eve-information integrals
+over banded regions, net-information contour grids, the theoretical
+key-rate-versus-loss curve, and the order-2 Renyi entropy used to size
+the final key.
 
 All information quantities are in bits.  ``abs_v_a`` is Alice's announced
 magnitude; ``v_b`` is Bob's outcome in shot-noise units (vacuum variance
@@ -95,33 +95,6 @@ def eve_information_quadrature(abs_v_a, eta, doubled_exponent=False):
     return _capacity_from_q(q)
 
 
-@dataclass
-class EveBound:
-    """Eve's overlaps, Helstrom errors, and total information for a symbol."""
-
-    z_x: np.ndarray
-    z_p: np.ndarray
-    i_ae: np.ndarray
-    p_err_eve_x: np.ndarray
-    p_err_eve_p: np.ndarray
-
-
-def eve_information(abs_x_a, abs_p_a, eta_x, eta_p, doubled_exponent=False):
-    """Upper bound on Eve's information for announced magnitudes, both
-    quadratures summed.  eta outside [0, 1] is rejected."""
-    for eta in (eta_x, eta_p):
-        if not 0.0 <= eta <= 1.0:
-            from .errors import InvalidConfigError
-
-            raise InvalidConfigError(f"eta={eta} outside [0, 1]")
-    z_x = eve_overlap(abs_x_a, eta_x, doubled_exponent)
-    z_p = eve_overlap(abs_p_a, eta_p, doubled_exponent)
-    i_ae = eve_information_quadrature(
-        abs_x_a, eta_x, doubled_exponent
-    ) + eve_information_quadrature(abs_p_a, eta_p, doubled_exponent)
-    return EveBound(z_x, z_p, i_ae, helstrom_error(z_x), helstrom_error(z_p))
-
-
 def error_probability(abs_v_a, abs_v_b, eta):
     """Probability that Bob's sign disagrees with Alice's.
 
@@ -142,29 +115,6 @@ def bob_capacity_u(u):
     """Bob's pointwise sign-channel capacity 1 - h(P(u)), in bits."""
     q = np.tanh(2.0 * np.asarray(u, dtype=float))  # 1 - 2 P(u)
     return _capacity_from_q(q)
-
-
-def bic_mutual_information(band_error_probs, band_weights=None):
-    """Mutual information of the banded sign channels, in bits per symbol.
-
-    ``band_error_probs`` is a sequence with one array of per-band error
-    probabilities per quadrature; ``band_weights`` the matching band
-    occupancies (each quadrature's weights summing to 1).  Defaults to equal
-    weights, matching equal-count banding.
-    """
-    total = 0.0
-    for qi, probs in enumerate(band_error_probs):
-        probs = np.asarray(probs, dtype=float)
-        if np.any((probs < 0.0) | (probs > 1.0)):
-            from .errors import InvalidConfigError
-
-            raise InvalidConfigError("band error probability outside [0, 1]")
-        if band_weights is None:
-            w = np.full(len(probs), 1.0 / len(probs))
-        else:
-            w = np.asarray(band_weights[qi], dtype=float)
-        total += float(np.sum(w * channel_capacity(probs)))
-    return total
 
 
 def pointwise_net_information(abs_v_a, v_b, eta, doubled_exponent=False):
@@ -193,14 +143,13 @@ def _gauss(x, mean, var):
 
 
 def band_integrals(var_mod, eta, boundaries_u, doubled_exponent=False,
-                   keep_only=False, rtol=1e-6, vacuum_var=0.5):
+                   rtol=1e-6, vacuum_var=0.5):
     """Probability mass and mean Eve information for hyperbolic u-bands.
 
     ``boundaries_u`` are ascending thresholds c_0 = 0 < ... < c_n = inf on
     u = |v_a v_b| sqrt(2 eta).  Returns (masses, mean_i_ae) arrays, one entry
-    per band.  With ``keep_only`` the integration region is additionally
-    restricted to positive net information density.  Integrals are adaptive
-    to relative tolerance ``rtol``; non-convergence raises
+    per band.  Integrals are adaptive to relative tolerance ``rtol``;
+    non-convergence raises
     ``NumericalFailureError``.
     """
     from .errors import NumericalFailureError
@@ -220,16 +169,13 @@ def band_integrals(var_mod, eta, boundaries_u, doubled_exponent=False,
         def outer(va, lo=lo, hi=hi, want_iae=False):
             # va > 0; total over the four sign quadrants by symmetry.
             iae = eve_information_quadrature(va, eta, doubled_exponent)
-            lo_eff = lo
-            if keep_only:
-                lo_eff = max(lo, keep_threshold_u(va, eta, doubled_exponent))
             if s == 0.0 or va == 0.0:
-                # u is identically 0: whole vb line is in band iff lo_eff <= 0
-                if lo_eff > 0.0:
+                # u is identically 0: whole vb line is in band iff lo <= 0
+                if lo > 0.0:
                     return 0.0
                 mass = 1.0
             else:
-                b_lo = lo_eff / (s * va)
+                b_lo = lo / (s * va)
                 b_hi = hi / (s * va)
                 if b_lo >= b_hi:
                     return 0.0
@@ -278,42 +224,6 @@ class InfoReport:
     i_ae_avg: float
     delta_i: float
     per_bic: list
-
-
-def net_information(params, partition, doubled_exponent=False, rtol=1e-6,
-                    keep_only=False):
-    """Band-by-band net information from a built partition.
-
-    Bob's side uses the partition's empirical error probabilities; Eve's side
-    is the adaptive 2-D quadrature of her bound over each band region,
-    weighted by the band's occupancy of the kept data.
-    """
-    per_bic = []
-    i_ab = 0.0
-    i_ae = 0.0
-    for quad in ("x", "p"):
-        qi = 0 if quad == "x" else 1
-        bounds = partition.boundaries[quad]
-        counts = partition.n_good[qi] + partition.n_error[qi]
-        tot = counts.sum()
-        if tot == 0:
-            continue
-        w = counts / tot
-        _, mean_iae = band_integrals(
-            params.var_mod(quad), params.eta(quad), bounds,
-            doubled_exponent=doubled_exponent, keep_only=keep_only, rtol=rtol,
-        )
-        # boundaries ascend in u; band index 0 is the lowest-error band,
-        # i.e. the topmost u slice.
-        mean_iae = mean_iae[::-1]
-        for k in range(partition.n_bands):
-            cap = float(channel_capacity(partition.p_emp[qi, k]))
-            ab_k = w[k] * cap
-            ae_k = w[k] * mean_iae[k]
-            per_bic.append((k, quad, ab_k, ae_k, ab_k - ae_k))
-            i_ab += ab_k
-            i_ae += ae_k
-    return InfoReport(i_ab, i_ae, i_ab - i_ae, per_bic)
 
 
 def contour_grid(params, va_values, vb_values, perspective="global",
@@ -371,15 +281,6 @@ def post_selected_delta_i(var_mod, eta, doubled_exponent=False, rtol=1e-8,
     total, _ = integrate.quad(outer, 0.0, TRUNCATION_SIGMAS * sigma,
                               epsabs=1e-13, epsrel=rtol, limit=400)
     return total
-
-
-def total_post_selected_delta_i(params, doubled_exponent=False):
-    """Post-selected net information summed over both quadratures."""
-    return sum(
-        post_selected_delta_i(params.var_mod(q), params.eta(q),
-                              doubled_exponent, vacuum_var=params.vacuum_var)
-        for q in ("x", "p")
-    )
 
 
 def _golden_section_max(f, lo, hi, tol=1e-3, max_iter=100):

@@ -7,10 +7,12 @@ the simulator only, and the receiver role consumes nothing from it — all
 of Bob's knowledge of the sent values comes from the public ANNOUNCE and
 REVEAL frames plus his simulated measurements.
 
-Both parties derive every random choice from named streams under the
-shared session seed, and all band decisions are driven by announced
-quantities, so a session produces keys byte-identical to the in-process
-pipeline run with the same configuration.
+Both roles run the protocol steps of ``pipeline`` (banding, band records,
+the band step and key finishing) and add only the frames between them.
+Every random choice comes from named streams under the shared session
+seed, and all band decisions are driven by announced quantities, so a
+session produces keys byte-identical to the in-process pipeline run with
+the same configuration.
 
 Every frame carries a reserved 16-byte authentication tag (all zeros
 here) at the head of its payload, standing in for the authenticated
@@ -18,13 +20,13 @@ classical channel the protocol assumes.
 """
 
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bands, channel, pipeline, privamp, reconcile, wire
 from .errors import ProtocolAbort, ProtocolError, VerificationFailedError
-from .rng import stream
 from .wire import AUTH_TAG, MsgType
 
 
@@ -48,17 +50,24 @@ class Transport:
         if msg_type == MsgType.ABORT:
             raise ProtocolAbort(body[16:].decode("utf-8", "replace"))
         if expected and msg_type not in expected:
-            self.abort(f"unexpected {MsgType(msg_type).name}")
-            raise ProtocolError(
+            raise self.fail(
                 f"expected {[MsgType(e).name for e in expected]}, "
                 f"got {MsgType(msg_type).name}"
             )
         if body[:16] != AUTH_TAG:
-            self.abort("bad auth tag")
-            raise ProtocolError("bad auth tag")
+            raise self.fail("bad auth tag")
         return msg_type, body[16:]
 
-    def abort(self, reason):
+    def decode(self, decoder, *args):
+        """Run a payload decoder; a malformed payload aborts the session."""
+        try:
+            return decoder(*args)
+        except ProtocolError as exc:
+            raise self.fail(str(exc)) from None
+
+    def fail(self, reason):
+        """Send ABORT (if the peer can still hear it); returns the
+        ``ProtocolError`` for the caller to raise."""
         try:
             self.writer.write(wire.encode_frame(
                 MsgType.ABORT, AUTH_TAG + reason.encode()
@@ -66,71 +75,7 @@ class Transport:
             self.writer.flush()
         except (OSError, ValueError):
             pass
-
-
-@dataclass
-class BandPlan:
-    """The receiver's public banding announcement."""
-
-    eta_x: float
-    eta_p: float
-    keep: np.ndarray          # bool over sifted positions
-    band_idx: np.ndarray      # uint8 per kept point
-    n_bands: int
-    boundaries_x: np.ndarray
-    boundaries_p: np.ndarray
-    p_pred: dict              # (quad, band) -> predicted error
-    repeat_ns: dict           # (quad, band) -> repeat length
-    order: list               # (quad, band) processing order
-
-    def pack(self):
-        out = [struct.pack("<dd", self.eta_x, self.eta_p),
-               wire.pack_bits(self.keep.astype(np.uint8)),
-               struct.pack("<Q", len(self.band_idx)),
-               self.band_idx.astype(np.uint8).tobytes(),
-               struct.pack("<I", self.n_bands),
-               wire.pack_floats(self.boundaries_x),
-               wire.pack_floats(self.boundaries_p)]
-        for quad in ("x", "p"):
-            out.append(wire.pack_floats(
-                [self.p_pred[(quad, k)] for k in range(self.n_bands)]
-            ))
-            out.append(bytes(
-                self.repeat_ns[(quad, k)] for k in range(self.n_bands)
-            ))
-        out.append(bytes(
-            b for quad, k in self.order for b in (quad == "p", k)
-        ))
-        return b"".join(out)
-
-    @classmethod
-    def unpack(cls, buf):
-        eta_x, eta_p = struct.unpack_from("<dd", buf, 0)
-        keep_u8, off = wire.unpack_bits(buf, 16)
-        (n_kept,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        band_idx = np.frombuffer(buf, dtype=np.uint8, count=n_kept,
-                                 offset=off).copy()
-        off += n_kept
-        (n_bands,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        bx, off = wire.unpack_floats(buf, off)
-        bp, off = wire.unpack_floats(buf, off)
-        p_pred = {}
-        repeat_ns = {}
-        for quad in ("x", "p"):
-            vals, off = wire.unpack_floats(buf, off)
-            for k in range(n_bands):
-                p_pred[(quad, k)] = float(vals[k])
-            for k in range(n_bands):
-                repeat_ns[(quad, k)] = buf[off + k]
-            off += n_bands
-        order = []
-        for _ in range(2 * n_bands):
-            order.append(("p" if buf[off] else "x", buf[off + 1]))
-            off += 2
-        return cls(eta_x, eta_p, keep_u8.astype(bool), band_idx, n_bands,
-                   bx, bp, p_pred, repeat_ns, order)
+        return ProtocolError(reason)
 
 
 @dataclass
@@ -141,54 +86,6 @@ class SessionResult:
     records: list
     transcript: list
     report: pipeline.RunReport | None = None
-    estimate: channel.ChannelEstimate | None = None
-
-
-def _sift_layout(n_symbols, revealed_idx):
-    """Shared sifted-position layout: x block then p block, revealed
-    symbols excluded from each."""
-    symbol_mask = np.ones(n_symbols, dtype=bool)
-    symbol_mask[revealed_idx] = False
-    return symbol_mask
-
-
-def _make_records(plan, abs_v_a_kept, quad_kept, config):
-    """Band records both parties derive identically from the plan."""
-    est_like = _EtaPair(plan.eta_x, plan.eta_p)
-    kept = bands.SiftedData(
-        quad_kept, np.zeros(len(quad_kept), np.uint8),
-        np.zeros(len(quad_kept), np.uint8), abs_v_a_kept,
-        np.zeros(len(quad_kept)),
-    )
-    eve_bounds = pipeline.eve_band_bounds(
-        kept, plan.band_idx, _NBands(plan.n_bands), est_like,
-        config.doubled_exponent,
-    )
-    records = []
-    for quad, k in plan.order:
-        qi = 0 if quad == "x" else 1
-        sel = (quad_kept == qi) & (plan.band_idx == k)
-        rec = pipeline.BandRecord(
-            quad, k, 0.0, plan.p_pred[(quad, k)], eve_bounds[(quad, k)],
-            n_kept=int(np.count_nonzero(sel)),
-        )
-        rec.repeat_n = plan.repeat_ns[(quad, k)]
-        records.append(rec)
-    return records
-
-
-@dataclass
-class _EtaPair:
-    eta_x: float
-    eta_p: float
-
-    def eta(self, quad):
-        return self.eta_x if quad == "x" else self.eta_p
-
-
-@dataclass
-class _NBands:
-    n_bands: int
 
 
 class _RemoteOracle:
@@ -204,10 +101,9 @@ class _RemoteOracle:
         self.transport.recv(MsgType.CASCADE_RESP)
 
     def parities(self, queries):
-        body = [b"\x01", struct.pack("<Q", len(queries))]
-        for pi, lo, hi in queries:
-            body.append(struct.pack("<BQQ", pi, lo, hi))
-        self.transport.send(MsgType.CASCADE_REQ, b"".join(body))
+        self.transport.send(MsgType.CASCADE_REQ, b"".join(
+            [b"\x01", struct.pack("<Q", len(queries))]
+            + [struct.pack("<BQQ", *query) for query in queries]))
         _, payload = self.transport.recv(MsgType.CASCADE_RESP)
         bits, _ = wire.unpack_bits(payload)
         self.disclosed_bits += len(queries)
@@ -219,35 +115,61 @@ class _RemoteOracle:
         self.disclosed_bits += reconcile.HASH_BITS
         return struct.unpack("<Q", payload)[0]
 
-    def done(self):
-        self.transport.send(MsgType.CASCADE_REQ, b"\x03\x01")
+    def done(self, ok=True):
+        self.transport.send(MsgType.CASCADE_REQ, bytes([3, ok]))
         self.transport.recv(MsgType.CASCADE_RESP)
 
 
-def _serve_cascade(transport, oracle):
-    """Answer Cascade queries until the querying side signals completion."""
+def _cascade_request(payload, n, passes, started):
+    """(kind, argument) of one Cascade request, checked against the pass
+    count and the length ``n`` of the answering side's string."""
+    (kind,) = wire.unpack_from("<B", payload)
+    if kind == 0:
+        attempt, got = wire.unpack_from("<II", payload, 1)
+        if got != passes:
+            raise ProtocolError(f"Cascade start with {got} passes, "
+                                f"expected {passes}")
+        return kind, attempt
+    if kind == 1:
+        (count,) = wire.unpack_from("<Q", payload, 1)
+        queries = list(struct.iter_unpack(
+            "<BQQ", wire.take(payload, 9, 17 * count)))
+        if not started:
+            raise ProtocolError("Cascade parity query before start")
+        for pi, lo, hi in queries:
+            if not (pi < passes and lo < hi <= n):
+                raise ProtocolError(
+                    f"Cascade query (pass {pi}, bits {lo}:{hi}) outside "
+                    f"{passes} passes of {n} bits")
+        return kind, queries
+    if kind == 2:
+        return kind, None
+    if kind == 3:
+        return kind, bool(wire.unpack_from("<B", payload, 1)[0])
+    raise ProtocolError(f"bad cascade kind {kind}")
+
+
+def _serve_cascade(transport, oracle, passes):
+    """Answer Cascade queries until the querying side signals completion;
+    returns its success flag."""
+    started = False
     while True:
         _, payload = transport.recv(MsgType.CASCADE_REQ)
-        kind = payload[0]
+        kind, arg = transport.decode(_cascade_request, payload,
+                                     len(oracle.bits), passes, started)
         if kind == 0:
-            attempt, passes = struct.unpack_from("<II", payload, 1)
-            oracle.start(attempt, passes)
+            oracle.start(arg, passes)
+            started = True
             transport.send(MsgType.CASCADE_RESP)
         elif kind == 1:
-            (count,) = struct.unpack_from("<Q", payload, 1)
-            queries = [struct.unpack_from("<BQQ", payload, 9 + 17 * i)
-                       for i in range(count)]
-            bits = oracle.parities(queries)
-            transport.send(MsgType.CASCADE_RESP, wire.pack_bits(bits))
+            transport.send(MsgType.CASCADE_RESP,
+                           wire.pack_bits(oracle.parities(arg)))
         elif kind == 2:
             transport.send(MsgType.CASCADE_RESP,
                            struct.pack("<Q", oracle.hash64()))
-        elif kind == 3:
-            transport.send(MsgType.CASCADE_RESP)
-            return bool(payload[1])
         else:
-            transport.abort(f"bad cascade kind {kind}")
-            raise ProtocolError(f"bad cascade kind {kind}")
+            transport.send(MsgType.CASCADE_RESP)
+            return arg
 
 
 def run_alice(reader, writer, config, transcript=None):
@@ -256,48 +178,50 @@ def run_alice(reader, writer, config, transcript=None):
     t = Transport(reader, writer, transcript)
     config.resolve_var_mod()
     seed = config.seed
-    n = config.n_symbols
     params = config.channel_params()
 
     t.send(MsgType.HELLO, config.to_text().encode())
     _, echo = t.recv(MsgType.HELLO_ACK)
     if echo.decode() != config.to_text():
-        t.abort("config mismatch")
-        raise ProtocolError("peer did not accept the session configuration")
+        raise t.fail("config mismatch")
 
-    symbols = channel.generate_symbols(n, params, seed)
+    symbols = channel.generate_symbols(config.n_symbols, params, seed)
     t.send(MsgType.SYMBOLS, wire.pack_floats(symbols.x_a)
            + wire.pack_floats(symbols.p_a))
     t.send(MsgType.ANNOUNCE_MAGNITUDES, wire.pack_floats(np.abs(symbols.x_a))
            + wire.pack_floats(np.abs(symbols.p_a)))
 
-    idx = pipeline.reveal_indices(seed, n, config.reveal_fraction,
-                                  config.min_reveal)
+    idx, sift_mask = pipeline.sift_layout(config)
     t.send(MsgType.REVEAL_SUBSET, wire.pack_indices(idx)
            + wire.pack_floats(symbols.x_a[idx])
            + wire.pack_floats(symbols.p_a[idx]))
 
-    _, payload = t.recv(MsgType.KEEP_MASK)
-    plan = BandPlan.unpack(payload)
+    v_a = np.concatenate([symbols.x_a, symbols.p_a])[sift_mask]
+    plan = _recv_plan(t, len(v_a), config.n_bands)
+    v_a = v_a[plan.keep]
+    records = pipeline.band_records(plan, np.abs(v_a),
+                                    config.doubled_exponent)
 
-    symbol_mask = _sift_layout(n, idx)
-    v_a = np.concatenate([symbols.x_a[symbol_mask],
-                          symbols.p_a[symbol_mask]])
-    quad_sift = np.repeat(np.array([0, 1], np.uint8),
-                          int(symbol_mask.sum()))
-    alice_bits = (v_a > 0).astype(np.uint8)
-    keep = plan.keep
-    if len(keep) != len(v_a):
-        t.abort("keep mask length mismatch")
-        raise ProtocolError("keep mask length mismatch")
-    abs_kept = np.abs(v_a[keep])
-    quad_kept = quad_sift[keep]
-    bits_kept = alice_bits[keep]
+    def distill(rec, bits):
+        c, masks = reconcile.alice_ad_masks(
+            bits, rec.repeat_n, pipeline.ad_stream(seed, rec.quad, rec.band))
+        t.send(MsgType.AD_MASKS, wire.pack_bits(masks))
+        _, payload = t.recv(MsgType.AD_ACCEPT)
+        accepted, _ = t.decode(wire.unpack_bits, payload)
+        if len(accepted) != len(c):
+            raise t.fail("AD accept flags do not match the block count")
+        return c[accepted.astype(bool)], int(len(masks))
 
-    records = _make_records(plan, abs_kept, quad_kept, config)
-    key_parts = _alice_band_loop(t, records, plan, quad_kept, bits_kept,
-                                 config)
-    alice_key = _finish_keys(records, key_parts, config)
+    def correct(rec, bits, beta_hat):
+        oracle = reconcile.ParityOracle(
+            bits, pipeline.cascade_stream_factory(seed, rec.quad, rec.band))
+        if not _serve_cascade(t, oracle, config.cascade_passes):
+            raise ProtocolAbort("peer reported Cascade failure")
+        return bits, oracle.disclosed_bits
+
+    parts = [pipeline.band_step(rec, bits, distill, correct) for rec, bits
+             in zip(records, plan.split((v_a > 0).astype(np.uint8)))]
+    (alice_key,) = pipeline.finish_keys(records, [parts], config)
 
     t.send(MsgType.PA_SEED, _pack_sizing(records, seed))
 
@@ -305,7 +229,7 @@ def run_alice(reader, writer, config, transcript=None):
     t.send(MsgType.KEY_CONFIRM,
            wire.pack_bits(privamp.confirm_hash(alice_key, confirm_seed)))
     _, payload = t.recv(MsgType.KEY_CONFIRM)
-    confirmed = bool(payload[0])
+    confirmed = payload[:1] == b"\x01"
     t.send(MsgType.BYE)
     t.recv(MsgType.BYE)
     if not confirmed:
@@ -314,54 +238,10 @@ def run_alice(reader, writer, config, transcript=None):
                          records, t.transcript)
 
 
-def _alice_band_loop(t, records, plan, quad_kept, bits_kept, config):
-    seed = config.seed
-    key_parts = []
-    for rec in records:
-        qi = 0 if rec.quad == "x" else 1
-        sel = (quad_kept == qi) & (plan.band_idx == rec.band)
-        a_bits = bits_kept[sel]
-        if rec.repeat_n > 1:
-            rng = pipeline.ad_stream(seed, rec.quad, rec.band)
-            c, masks = reconcile.alice_ad_masks(a_bits, rec.repeat_n, rng)
-            t.send(MsgType.AD_MASKS, wire.pack_bits(masks))
-            _, payload = t.recv(MsgType.AD_ACCEPT)
-            accepted, _ = wire.unpack_bits(payload)
-            dist_a = c[accepted[: len(c)].astype(bool)]
-            rec.ad_mask_bits = int(len(masks))
-        else:
-            dist_a = a_bits.copy()
-        rec.n_distilled = len(dist_a)
-        rec.bob_error_ad = float(reconcile.ad_error(rec.p_pred,
-                                                    rec.repeat_n))
-        rec.eve_error_ad = float(reconcile.eve_ad_error(rec.eve_error,
-                                                        rec.repeat_n))
-        if rec.n_distilled > 0:
-            oracle = reconcile.ParityOracle(
-                dist_a,
-                pipeline.cascade_stream_factory(seed, rec.quad, rec.band),
-            )
-            ok = _serve_cascade(t, oracle)
-            if not ok:
-                raise ProtocolAbort("peer reported Cascade failure")
-            rec.cascade_bits = oracle.disclosed_bits
-        rec.eve_error_ir = reconcile.eve_error_after_leak(
-            rec.eve_error_ad, rec.cascade_bits, rec.n_distilled
-        )
-        key_parts.append(dist_a)
-    return key_parts
-
-
-def _finish_keys(records, band_bits, config):
-    """Size and hash every band; returns the concatenated key bits."""
-    pipeline.size_final_keys(records, config.security_bits)
-    parts = []
-    for rec, bits in zip(records, band_bits):
-        if rec.key_bits == 0:
-            continue
-        pa_seed = pipeline.pa_seed_value(config.seed, rec.quad, rec.band)
-        parts.append(privamp.toeplitz_hash(bits, rec.key_bits, pa_seed))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+def _recv_plan(t, n_sift, n_bands):
+    """The receiver's KEEP_MASK plan, checked against the local layout."""
+    _, payload = t.recv(MsgType.KEEP_MASK)
+    return t.decode(pipeline.BandPlan.unpack, payload, n_sift, n_bands)
 
 
 def _pack_sizing(records, seed):
@@ -387,7 +267,6 @@ def run_bob(reader, writer, transcript=None):
     config.resolve_var_mod()
     t.send(MsgType.HELLO_ACK, config.to_text().encode())
     seed = config.seed
-    n = config.n_symbols
     params = config.channel_params()
 
     # ---- channel simulator (sees the sent values; the receiver does not)
@@ -406,167 +285,77 @@ def run_bob(reader, writer, transcript=None):
     idx, off = wire.unpack_indices(payload)
     rx_a, off = wire.unpack_floats(payload, off)
     rp_a, _ = wire.unpack_floats(payload, off)
-    expected_idx = pipeline.reveal_indices(seed, n, config.reveal_fraction,
-                                           config.min_reveal)
+    expected_idx, sift_mask = pipeline.sift_layout(config)
     if not np.array_equal(idx, expected_idx):
-        t.abort("revealed indices do not match the derived subset")
-        raise ProtocolError("revealed indices mismatch")
+        raise t.fail("revealed indices do not match the derived subset")
     est = channel.estimate_channel(
         channel.SymbolBatch(rx_a, rp_a),
         channel.MeasurementBatch(meas.x_b[idx], meas.p_b[idx]),
     )
 
-    symbol_mask = _sift_layout(n, idx)
-    n_sift_half = int(symbol_mask.sum())
-    v_b = np.concatenate([meas.x_b[symbol_mask], meas.p_b[symbol_mask]])
-    abs_v_a = np.concatenate([abs_x[symbol_mask], abs_p[symbol_mask]])
-    quad_sift = np.repeat(np.array([0, 1], np.uint8), n_sift_half)
-    bob_bits = (v_b > 0).astype(np.uint8)
-    sifted_pub = bands.SiftedData(quad_sift, np.zeros_like(bob_bits),
-                                  bob_bits, abs_v_a, v_b)
-
-    plan, partition, keep = _receiver_plan(sifted_pub, est, config, seed)
+    v_b = np.concatenate([meas.x_b, meas.p_b])[sift_mask]
+    sifted = bands.SiftedData(
+        np.repeat(np.array([0, 1], np.uint8), len(v_b) // 2), None,
+        (v_b > 0).astype(np.uint8), np.concatenate([abs_x, abs_p])[sift_mask],
+        v_b,
+    )
+    ps = bands.postselect(sifted, est, config.n_bands,
+                          config.doubled_exponent,
+                          pipeline.calibration_mask(config, len(sifted)))
+    plan = pipeline.band_plan(ps, est, config)
     t.send(MsgType.KEEP_MASK, plan.pack())
+    records = pipeline.band_records(plan, ps.kept.abs_v_a,
+                                    config.doubled_exponent)
 
-    kept_pub = sifted_pub.subset(keep)
-    records = _make_records(plan, kept_pub.abs_v_a, kept_pub.quad, config)
-    key_parts = _bob_band_loop(t, records, plan, kept_pub, config)
-    bob_key = _finish_keys(records, key_parts, config)
+    def distill(rec, bits):
+        _, payload = t.recv(MsgType.AD_MASKS)
+        masks, _ = t.decode(wire.unpack_bits, payload)
+        accepted, dist_b = reconcile.bob_ad_apply(bits, masks, rec.repeat_n)
+        t.send(MsgType.AD_ACCEPT, wire.pack_bits(accepted))
+        return dist_b, int(len(masks))
+
+    def correct(rec, bits, beta_hat):
+        oracle = _RemoteOracle(t)
+        try:
+            result = reconcile.cascade_correct(
+                bits, oracle, beta_hat,
+                pipeline.cascade_stream_factory(seed, rec.quad, rec.band),
+                passes=config.cascade_passes,
+            )
+        except VerificationFailedError:
+            oracle.done(ok=False)
+            raise
+        oracle.done()
+        return result.bits, result.leaked_bits
+
+    parts = [pipeline.band_step(rec, bits, distill, correct) for rec, bits
+             in zip(records, plan.split(ps.kept.bob_bit))]
+    (bob_key,) = pipeline.finish_keys(records, [parts], config)
 
     _, payload = t.recv(MsgType.PA_SEED)
-    _check_sizing(t, payload, records, seed)
+    if payload != _pack_sizing(records, seed):
+        raise t.fail("privacy-amplification sizing mismatch")
 
     confirm_seed = pipeline.confirm_seed_value(seed)
     _, payload = t.recv(MsgType.KEY_CONFIRM)
-    alice_hash, _ = wire.unpack_bits(payload)
-    confirmed = (np.array_equal(
-        alice_hash, privamp.confirm_hash(bob_key, confirm_seed)
-    ) and len(bob_key) > 0)
+    alice_hash, _ = t.decode(wire.unpack_bits, payload)
+    confirmed = np.array_equal(alice_hash,
+                               privamp.confirm_hash(bob_key, confirm_seed))
     t.send(MsgType.KEY_CONFIRM, b"\x01" if confirmed else b"\x00")
     t.recv(MsgType.BYE)
     t.send(MsgType.BYE)
     if not confirmed:
         raise ProtocolAbort("key confirmation failed")
 
-    report, est_full = _simulator_report(sim_symbols, meas, records, est,
-                                         config)
+    # ---- simulator-side diagnostics: the tallies that need the sent signs
+    sim = bands.sift(sim_symbols, meas).subset(sift_mask)
+    kept = sim.subset(ps.mask)
+    ps.partition.tally(kept.quad, kept.alice_bit != kept.bob_bit)
+    pipeline.set_p_emp(records, ps.partition)
+    report = pipeline.build_report(config, sim, kept, records, est,
+                                   time.monotonic())
     return SessionResult(bob_key, privamp.pack_key(bob_key), confirmed,
-                         records, t.transcript, report, est_full)
-
-
-def _receiver_plan(sifted_pub, est, config, seed):
-    """Post-selection and banding from announced data, as a BandPlan."""
-    eta_x, eta_p = est.eta("x"), est.eta("p")
-    keep = bands.keep_mask(sifted_pub, eta_x, eta_p,
-                           config.doubled_exponent)
-    calib = sifted_pub.subset(keep)
-    if config.holdout:
-        n_sift = len(sifted_pub)
-        cal_mask = np.zeros(n_sift, dtype=bool)
-        cal_mask[stream(seed, "protocol", "holdout").choice(
-            n_sift, size=n_sift // 10, replace=False)] = True
-        calib = sifted_pub.subset(keep & cal_mask)
-    partition = bands.build_partition(calib, eta_x, eta_p, config.n_bands)
-    kept = sifted_pub.subset(keep)
-    band_idx = partition.band_of(kept, eta_x, eta_p)
-    p_pred = pipeline.predicted_band_errors(kept, band_idx, partition, est)
-    repeat_ns = {
-        key: reconcile.choose_repeat_n(p, config.ad_target, config.ad_cap)
-        for key, p in p_pred.items()
-    }
-    order = pipeline.band_processing_order(p_pred, config.n_bands)
-    plan = BandPlan(
-        eta_x, eta_p, keep, band_idx.astype(np.uint8), config.n_bands,
-        partition.boundaries["x"], partition.boundaries["p"],
-        p_pred, repeat_ns, order,
-    )
-    return plan, partition, keep
-
-
-def _bob_band_loop(t, records, plan, kept_pub, config):
-    seed = config.seed
-    key_parts = []
-    for rec in records:
-        qi = 0 if rec.quad == "x" else 1
-        sel = (kept_pub.quad == qi) & (plan.band_idx == rec.band)
-        b_bits = kept_pub.bob_bit[sel]
-        if rec.repeat_n > 1:
-            _, payload = t.recv(MsgType.AD_MASKS)
-            masks, _ = wire.unpack_bits(payload)
-            accepted, dist_b = reconcile.bob_ad_apply(b_bits, masks,
-                                                      rec.repeat_n)
-            t.send(MsgType.AD_ACCEPT, wire.pack_bits(accepted))
-            rec.ad_mask_bits = int(len(masks))
-        else:
-            dist_b = b_bits.copy()
-        rec.n_distilled = len(dist_b)
-        rec.bob_error_ad = float(reconcile.ad_error(rec.p_pred,
-                                                    rec.repeat_n))
-        rec.eve_error_ad = float(reconcile.eve_ad_error(rec.eve_error,
-                                                        rec.repeat_n))
-        if rec.n_distilled > 0:
-            beta_hat = max(rec.bob_error_ad, 1e-3)
-            oracle = _RemoteOracle(t)
-            try:
-                result = reconcile.cascade_correct(
-                    dist_b, oracle, beta_hat,
-                    pipeline.cascade_stream_factory(seed, rec.quad,
-                                                    rec.band),
-                    passes=config.cascade_passes,
-                )
-            except VerificationFailedError:
-                t.send(MsgType.CASCADE_REQ, b"\x03\x00")
-                t.recv(MsgType.CASCADE_RESP)
-                raise
-            oracle.done()
-            dist_b = result.bits
-            rec.cascade_bits = result.leaked_bits
-        rec.eve_error_ir = reconcile.eve_error_after_leak(
-            rec.eve_error_ad, rec.cascade_bits, rec.n_distilled
-        )
-        key_parts.append(dist_b)
-    return key_parts
-
-
-def _check_sizing(t, payload, records, seed):
-    (count,) = struct.unpack_from("<Q", payload, 0)
-    if count != len(records):
-        t.abort("sizing record count mismatch")
-        raise ProtocolError("sizing record count mismatch")
-    for i, rec in enumerate(records):
-        is_p, band, key_bits, pa_seed = struct.unpack_from(
-            "<BBQQ", payload, 8 + 18 * i
-        )
-        quad = "p" if is_p else "x"
-        if (quad, band) != (rec.quad, rec.band) \
-                or key_bits != rec.key_bits \
-                or pa_seed != pipeline.pa_seed_value(seed, quad, band):
-            t.abort("privacy-amplification sizing mismatch")
-            raise ProtocolError(
-                f"sizing mismatch on band {quad}/{band}: "
-                f"peer {key_bits}, local {rec.key_bits}"
-            )
-
-
-def _simulator_report(sim_symbols, meas, records, est, config):
-    """Diagnostic stage report, computed with simulator-side knowledge."""
-    import time as _time
-
-    idx = pipeline.reveal_indices(config.seed, config.n_symbols,
-                                  config.reveal_fraction, config.min_reveal)
-    symbol_mask = _sift_layout(config.n_symbols, idx)
-    sifted_all = bands.sift(sim_symbols, meas)
-    sifted = sifted_all.subset(np.concatenate([symbol_mask, symbol_mask]))
-    ps = bands.postselect(sifted, est, config.n_bands,
-                          config.doubled_exponent)
-    band_idx = ps.partition.band_of(ps.kept, est.eta("x"), est.eta("p"))
-    for rec in records:
-        qi = 0 if rec.quad == "x" else 1
-        rec.p_emp = float(ps.partition.p_emp[qi, rec.band])
-    _ = band_idx
-    report = pipeline.build_report(config, sifted, ps, records, est,
-                                   _time.monotonic())
-    return report, est
+                         records, t.transcript, report)
 
 
 def dump_transcript(path, transcript):
@@ -600,7 +389,6 @@ def audit_transcript(transcript):
     hash_bits = 0
     confirm_bits = 0
     pending_kind = None
-    key_confirms = 0
     for _, msg_type, body in transcript:
         payload = body[16:]
         if msg_type == MsgType.AD_MASKS:
@@ -616,9 +404,8 @@ def audit_transcript(transcript):
                 hash_bits += reconcile.HASH_BITS
             pending_kind = None
         elif msg_type == MsgType.KEY_CONFIRM:
-            if key_confirms == 0:
-                confirm_bits += privamp.CONFIRM_BITS
-            key_confirms += 1
+            # one hash, sent by Alice; Bob's reply is a verdict flag
+            confirm_bits = privamp.CONFIRM_BITS
     total = ad_mask_bits + parity_bits + hash_bits + confirm_bits
     return {
         "ad_mask_bits": int(ad_mask_bits),

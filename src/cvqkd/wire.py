@@ -25,7 +25,6 @@ class MsgType(IntEnum):
     HELLO = 1
     HELLO_ACK = 2
     SYMBOLS = 3
-    MEASUREMENTS = 4
     ANNOUNCE_MAGNITUDES = 5
     REVEAL_SUBSET = 6
     KEEP_MASK = 7
@@ -102,7 +101,21 @@ def read_frame(stream):
     return mtype, payload
 
 
-# payload building blocks (all little-endian)
+# payload building blocks (all little-endian); a decoder that would read
+# past the end of its buffer raises TruncatedFrameError
+
+def take(buf, offset, nbytes):
+    """A view of ``nbytes`` bytes of ``buf`` from ``offset``."""
+    if offset + nbytes > len(buf):
+        raise TruncatedFrameError(
+            f"payload of {len(buf)} bytes ends before byte {offset + nbytes}"
+        )
+    return memoryview(buf)[offset: offset + nbytes]
+
+
+def unpack_from(fmt, buf, offset=0):
+    return struct.unpack(fmt, take(buf, offset, struct.calcsize(fmt)))
+
 
 def pack_floats(arr):
     arr = np.asarray(arr, dtype="<f8")
@@ -110,10 +123,9 @@ def pack_floats(arr):
 
 
 def unpack_floats(buf, offset=0):
-    (n,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    arr = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).copy()
-    return arr, offset + 8 * n
+    (n,) = unpack_from("<Q", buf, offset)
+    arr = np.frombuffer(take(buf, offset + 8, 8 * n), dtype="<f8").copy()
+    return arr, offset + 8 + 8 * n
 
 
 def pack_indices(arr):
@@ -122,12 +134,9 @@ def pack_indices(arr):
 
 
 def unpack_indices(buf, offset=0):
-    (n,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    arr = np.frombuffer(buf, dtype="<u8", count=n, offset=offset).astype(
-        np.int64
-    )
-    return arr, offset + 8 * n
+    (n,) = unpack_from("<Q", buf, offset)
+    arr = np.frombuffer(take(buf, offset + 8, 8 * n), dtype="<u8")
+    return arr.astype(np.int64), offset + 8 + 8 * n
 
 
 def pack_bits(bits):
@@ -137,9 +146,7 @@ def pack_bits(bits):
 
 
 def unpack_bits(buf, offset=0):
-    (n,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
+    (n,) = unpack_from("<Q", buf, offset)
     nbytes = (n + 7) // 8
-    packed = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
-    bits = np.unpackbits(packed)[:n]
-    return bits, offset + nbytes
+    packed = np.frombuffer(take(buf, offset + 8, nbytes), dtype=np.uint8)
+    return np.unpackbits(packed)[:n], offset + 8 + nbytes

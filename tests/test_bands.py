@@ -106,17 +106,6 @@ def test_postselect_turns_net_information_positive():
     assert u[res.mask].mean() > u[~res.mask].mean()
 
 
-def test_postselect_per_band_drops_negative_bands():
-    s, params = _sifted(loss=0.54, n=60_000)
-    pw = postselect(s, params, n_bands=10)
-    pb = postselect(s, params, n_bands=10, per_band=True)
-    assert pb.mask.sum() <= pw.mask.sum()
-    # every surviving band has non-negative net information
-    for _, _, ab, ae, net in pb.report_post.per_bic:
-        if ab > 0:
-            assert net >= 0.0 or net == pytest.approx(0.0, abs=1e-9)
-
-
 def test_postselect_calibration_mask_disjoint():
     s, params = _sifted(loss=0.54, n=80_000)
     calib = np.arange(len(s)) % 2 == 0

@@ -34,6 +34,13 @@ def test_simulate_config_file_with_overrides(tmp_path, capsys):
     assert rc == 0
 
 
+def test_simulate_exits_1_on_empty_key(capsys):
+    rc = cli.main(["simulate", "--loss", "0.9", "--mod-var", "4",
+                   "--symbols", "200000", "--seed", "1"])
+    assert rc == 1
+    assert "final key: 0 bits, confirmed=True" in capsys.readouterr().out
+
+
 def test_simulate_rejects_bad_loss(capsys):
     rc = cli.main(["simulate", "--loss", "1.5", "--symbols", "50000"])
     assert rc == 2

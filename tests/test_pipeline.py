@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,25 @@ def test_ledger_text_parses():
     total = sum(r.leaked_bits for r in res.records)
     assert int(entries["total.leaked_bits"]) == total
     assert int(entries["total.key_bits"]) == len(res.alice_key)
+
+
+# SHA-256 of key_bytes and of ledger_text(records) for _config() without and
+# with holdout.  A change that moves keys or ledgers on purpose updates these
+# and says so in CHANGES.md.
+PINS = {
+    False: ("c0a03ae97e77e880f00435e597849760763080dc5c9419244cff863a5355848a",
+            "3b0609e7e89f5107c2196816e677a24f2efbcbe42ce165e2789c1d20f8e5cb37"),
+    True: ("a331bac3c9b80050f418d7bc7b3457196920b273f133dc6b3564f0cc1d78d542",
+           "5a3ab61684a95448f0cf1963e93145e21445ce97f280084e27e9cb4670f3e42e"),
+}
+
+
+@pytest.mark.parametrize("holdout", [False, True])
+def test_keys_and_ledgers_pinned(holdout):
+    res = run_pipeline(_config(holdout=holdout))
+    got = (hashlib.sha256(res.key_bytes).hexdigest(),
+           hashlib.sha256(ledger_text(res.records).encode()).hexdigest())
+    assert got == PINS[holdout]
 
 
 def test_holdout_calibration_runs():

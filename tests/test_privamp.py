@@ -103,9 +103,3 @@ def test_key_quality_on_random_and_biased():
     assert not privamp.key_quality(correlated).passed()
 
 
-def test_pa_config_validation():
-    privamp.PaConfig(security_bits_s=5)
-    with pytest.raises(InvalidConfigError):
-        privamp.PaConfig(security_bits_s=0)
-    with pytest.raises(InvalidConfigError):
-        privamp.PaConfig(hash_family="md5")

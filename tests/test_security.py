@@ -148,11 +148,6 @@ def test_theoretical_key_rate_curve_shapes():
         security.theoretical_key_rate_curve([1.0])
 
 
-def test_eve_information_rejects_bad_eta():
-    with pytest.raises(InvalidConfigError):
-        security.eve_information(np.ones(3), np.ones(3), 1.2, 0.5)
-
-
 def test_contour_grid_shape_and_sign():
     params = ChannelParams.from_loss(0.54, var_mod=4.0)
     va = np.linspace(0.0, 4.0, 9)
