@@ -9,7 +9,6 @@ after her 50/50 split is ``sqrt((1 - eta_v)/2) * v_a``.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidConfigError, TooFewSamplesError
 from .rng import stream
@@ -229,6 +228,8 @@ def gaussianity_check(values, kurtosis_limit=0.1, significance=0.01):
     limit and the empirical-CDF deviation from a fitted normal is not
     rejected at the configured significance.
     """
+    from scipy import stats
+
     values = np.asarray(values, dtype=float)
     if len(values) < 1000:
         raise TooFewSamplesError(f"need >= 1000 values, got {len(values)}")

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from . import bands, channel, dsp, pipeline, security, session
+from . import bands, channel, pipeline, security, session
 from .errors import CvqkdError, InvalidConfigError
 from .rng import stream
 
@@ -239,6 +239,8 @@ def cmd_connect(args):
 
 
 def cmd_dsp(args):
+    from . import dsp
+
     config = dsp.DspConfig()
     n = int(args.symbols)
     rng = stream(args.seed, "dsp-experiment")

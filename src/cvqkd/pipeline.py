@@ -156,7 +156,6 @@ class PipelineResult:
     report: RunReport
     records: list
     estimate: channel.ChannelEstimate
-    gaussianity: list
     postselection: bands.PostselectResult
     alice_key: np.ndarray
     bob_key: np.ndarray
@@ -258,16 +257,16 @@ class BandPlan:
                 f"expected {n_sift} and {n_bands}")
         if n_kept != np.count_nonzero(keep) or np.any(band_idx >= n_bands):
             raise ProtocolError("band index does not fit the keep mask")
-        bx, off = wire.unpack_floats(buf, off)
-        bp, off = wire.unpack_floats(buf, off)
+        bx, off = wire.unpack_floats(buf, off, n_bands + 1)
+        bp, off = wire.unpack_floats(buf, off, n_bands + 1)
         p_pred = {}
         repeat_ns = {}
         for quad in QUADRATURES:
-            vals, off = wire.unpack_floats(buf, off)
+            vals, off = wire.unpack_floats(buf, off, n_bands)
             reps = wire.take(buf, off, n_bands)
             off += n_bands
-            if len(vals) != n_bands or min(reps) < 1:
-                raise ProtocolError("bad predicted errors or repeat lengths")
+            if min(reps) < 1:
+                raise ProtocolError("repeat length below 1")
             for k in range(n_bands):
                 p_pred[(quad, k)] = float(vals[k])
                 repeat_ns[(quad, k)] = reps[k]
@@ -327,10 +326,10 @@ def eve_band_bounds(iae, slices):
     error probability of a binary channel with that capacity (her
     modulation-averaged knowledge expressed as a single error rate).
     """
-    return {
-        key: float(security.inverse_binary_entropy(1.0 - min(mean, 1.0)))
-        for key, mean in slices.means(iae).items()
-    }
+    means = slices.means(iae)
+    bounds = security.inverse_binary_entropy(
+        1.0 - np.minimum(list(means.values()), 1.0))
+    return {key: float(p) for key, p in zip(means, bounds)}
 
 
 def band_records(plan, abs_v_a, doubled_exponent):
@@ -443,12 +442,6 @@ def run_pipeline(config):
     revealed_syms = channel.SymbolBatch(symbols.x_a[idx], symbols.p_a[idx])
     revealed_meas = channel.MeasurementBatch(meas.x_b[idx], meas.p_b[idx])
     est = channel.estimate_channel(revealed_syms, revealed_meas)
-    gauss = []
-    for label, values in (("x_a_revealed", revealed_syms.x_a),
-                          ("p_a_revealed", revealed_syms.p_a),
-                          ("x_b", meas.x_b), ("p_b", meas.p_b)):
-        sample = values if len(values) <= 100_000 else values[:100_000]
-        gauss.append((label, channel.gaussianity_check(sample)))
 
     sifted = bands.sift(symbols, meas).subset(sift_mask)
     ps = bands.postselect(sifted, est, config.n_bands,
@@ -481,7 +474,7 @@ def run_pipeline(config):
 
     report = build_report(config, sifted, kept, records, est, t0)
     return PipelineResult(
-        report, records, est, gauss, ps, alice_key, bob_key,
+        report, records, est, ps, alice_key, bob_key,
         privamp.pack_key(bob_key), confirmed, kept,
     )
 

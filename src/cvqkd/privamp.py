@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, stats
+from scipy import fft, special
 
-from .errors import InvalidConfigError, ProtocolAbort
+from .errors import InvalidConfigError, NumericalFailureError, ProtocolAbort
 from .rng import stream
 from .security import renyi_bound
 
@@ -38,7 +38,7 @@ def toeplitz_diagonal(m, r, seed):
 def toeplitz_hash(bits, out_len, seed):
     """Compress ``bits`` to ``out_len`` bits with a seeded Toeplitz matrix.
 
-    Computed as a GF(2) convolution (FFT-based above a size cutoff), never
+    Computed as an exact GF(2) convolution by real FFT, never
     materializing the dense matrix.
     """
     bits = np.asarray(bits, dtype=np.uint8)
@@ -52,14 +52,14 @@ def toeplitz_hash(bits, out_len, seed):
 
 
 def _toeplitz_apply(diag, bits, m, r):
-    # out[i] = parity over j of diag[i - j + m - 1] * bits[j]
-    if m * r <= 1 << 22:
-        conv = np.convolve(diag.astype(np.int64), bits.astype(np.int64))
-    else:
-        conv = np.rint(
-            signal.fftconvolve(diag.astype(float), bits.astype(float))
-        ).astype(np.int64)
-    return (conv[m - 1: m - 1 + r] & 1).astype(np.uint8)
+    # out[i] = parity over j of diag[i - j + m - 1] * bits[j], terms m - 1 to
+    # m + r - 2 of the convolution: a circular length >= m + r - 1 keeps them
+    n = fft.next_fast_len(m + r - 1, real=True)
+    conv = fft.irfft(fft.rfft(diag, n) * fft.rfft(bits, n), n)[m - 1:m - 1 + r]
+    counts = np.rint(conv)
+    if np.max(np.abs(conv - counts)) >= 0.25:
+        raise NumericalFailureError("FFT convolution is not integer-exact")
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
 def key_confirm(alice_bits, bob_bits, seed):
@@ -117,10 +117,10 @@ def key_quality(bits):
     if n < 2:
         raise InvalidConfigError("key too short to test")
     z = (bits.sum() - n / 2.0) / np.sqrt(n / 4.0)
-    p_mono = 2.0 * stats.norm.sf(abs(z))
+    p_mono = 2.0 * special.ndtr(-abs(z))
     x = bits - bits.mean()
     denom = float(np.sum(x * x))
     corr = float(np.sum(x[:-1] * x[1:]) / denom) if denom > 0 else 0.0
     z_corr = corr * np.sqrt(n - 1)
-    p_corr = 2.0 * stats.norm.sf(abs(z_corr))
+    p_corr = 2.0 * special.ndtr(-abs(z_corr))
     return KeyQualityReport(float(z), float(p_mono), corr, float(p_corr), n)

@@ -14,7 +14,6 @@ magnitude; ``v_b`` is Bob's outcome in shot-noise units (vacuum variance
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import expit, log1p, ndtr, xlogy
 
 LN2 = np.log(2.0)
@@ -31,21 +30,16 @@ def binary_entropy(p):
 
 
 def inverse_binary_entropy(h):
-    """Inverse of ``binary_entropy`` on [0, 1/2]."""
+    """Inverse of ``binary_entropy`` on [0, 1/2], by bisection of the whole
+    array.  The lower end of the final bracket is returned, so an error rate
+    derived from it is rounded downward."""
     h = np.asarray(h, dtype=float)
-    scalar = h.ndim == 0
-    h = np.atleast_1d(h)
-    out = np.empty_like(h)
-    for i, hv in enumerate(h):
-        if hv <= 0.0:
-            out[i] = 0.0
-        elif hv >= 1.0:
-            out[i] = 0.5
-        else:
-            out[i] = optimize.brentq(
-                lambda p: binary_entropy(p) - hv, 1e-18, 0.5, xtol=1e-15
-            )
-    return out[0] if scalar else out
+    lo, hi = np.zeros_like(h), np.full_like(h, 0.5)
+    for _ in range(64):  # to a bracket width of 2^-65
+        mid = 0.5 * (lo + hi)
+        below = binary_entropy(mid) <= h
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(h >= 1.0, 0.5, lo)[()]
 
 
 def channel_capacity(p_err):
@@ -128,6 +122,8 @@ def pointwise_net_information(abs_v_a, v_b, eta, doubled_exponent=False):
 
 def keep_threshold_u(abs_v_a, eta, doubled_exponent=False):
     """Smallest u at which the net information density turns positive."""
+    from scipy import optimize
+
     i_ae = float(eve_information_quadrature(abs_v_a, eta, doubled_exponent))
     if i_ae <= 0.0 or i_ae <= bob_capacity_u(1e-12):
         return 0.0
@@ -152,6 +148,8 @@ def band_integrals(var_mod, eta, boundaries_u, doubled_exponent=False,
     non-convergence raises
     ``NumericalFailureError``.
     """
+    from scipy import integrate
+
     from .errors import NumericalFailureError
 
     boundaries_u = np.asarray(boundaries_u, dtype=float)
@@ -251,6 +249,8 @@ def post_selected_delta_i(var_mod, eta, doubled_exponent=False, rtol=1e-8,
     """Theoretical post-selected net information for one quadrature,
     bits per symbol: the net-information density integrated over the region
     where it is positive."""
+    from scipy import integrate
+
     sigma = np.sqrt(var_mod)
     s = np.sqrt(2.0 * eta)
     vb_sd = np.sqrt(vacuum_var)

@@ -271,20 +271,20 @@ def run_bob(reader, writer, transcript=None):
 
     # ---- channel simulator (sees the sent values; the receiver does not)
     _, payload = t.recv(MsgType.SYMBOLS)
-    x_a, off = wire.unpack_floats(payload)
-    p_a, _ = wire.unpack_floats(payload, off)
+    x_a, off = t.decode(wire.unpack_floats, payload, 0, config.n_symbols)
+    p_a, _ = t.decode(wire.unpack_floats, payload, off, config.n_symbols)
     sim_symbols = channel.SymbolBatch(x_a, p_a)
     meas, _ = channel.transmit_and_measure(sim_symbols, params, seed)
 
     # ---- receiver role: public announcements only from here on
     _, payload = t.recv(MsgType.ANNOUNCE_MAGNITUDES)
-    abs_x, off = wire.unpack_floats(payload)
-    abs_p, _ = wire.unpack_floats(payload, off)
+    abs_x, off = t.decode(wire.unpack_floats, payload, 0, config.n_symbols)
+    abs_p, _ = t.decode(wire.unpack_floats, payload, off, config.n_symbols)
 
     _, payload = t.recv(MsgType.REVEAL_SUBSET)
-    idx, off = wire.unpack_indices(payload)
-    rx_a, off = wire.unpack_floats(payload, off)
-    rp_a, _ = wire.unpack_floats(payload, off)
+    idx, off = t.decode(wire.unpack_indices, payload)
+    rx_a, off = t.decode(wire.unpack_floats, payload, off, len(idx))
+    rp_a, _ = t.decode(wire.unpack_floats, payload, off, len(idx))
     expected_idx, sift_mask = pipeline.sift_layout(config)
     if not np.array_equal(idx, expected_idx):
         raise t.fail("revealed indices do not match the derived subset")

@@ -122,8 +122,12 @@ def pack_floats(arr):
     return struct.pack("<Q", len(arr)) + arr.tobytes()
 
 
-def unpack_floats(buf, offset=0):
+def unpack_floats(buf, offset=0, count=None):
+    """A float array and the offset after it; an array of other than
+    ``count`` values (when given) raises ``ProtocolError``."""
     (n,) = unpack_from("<Q", buf, offset)
+    if count is not None and n != count:
+        raise ProtocolError(f"array of {n} values, expected {count}")
     arr = np.frombuffer(take(buf, offset + 8, 8 * n), dtype="<f8").copy()
     return arr, offset + 8 + 8 * n
 

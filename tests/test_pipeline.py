@@ -108,9 +108,9 @@ def test_ledger_text_parses():
 # and says so in CHANGES.md.
 PINS = {
     False: ("c0a03ae97e77e880f00435e597849760763080dc5c9419244cff863a5355848a",
-            "3b0609e7e89f5107c2196816e677a24f2efbcbe42ce165e2789c1d20f8e5cb37"),
+            "0292f2585dd61c32d59e299573c51748b8eef70d996db3089382fcc30228a65e"),
     True: ("a331bac3c9b80050f418d7bc7b3457196920b273f133dc6b3564f0cc1d78d542",
-           "5a3ab61684a95448f0cf1963e93145e21445ce97f280084e27e9cb4670f3e42e"),
+           "bafaec2b571ea70571c6834ec3154909051991bb8b078b05ff81495a3f7922d6"),
 }
 
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import stats
 
 from cvqkd import privamp
-from cvqkd.errors import InvalidConfigError, ProtocolAbort
+from cvqkd.errors import InvalidConfigError, NumericalFailureError, ProtocolAbort
 from cvqkd.rng import stream
 from cvqkd.security import renyi_bound
 
@@ -21,17 +23,35 @@ def test_final_key_length_arithmetic():
         privamp.final_key_length(10, 0.7, 0)
 
 
+def _dense_toeplitz_hash(bits, r, seed):
+    # row i of the r x m matrix is diag[i + m - 1], diag[i + m - 2], ...,
+    # diag[i]; each output bit is the GF(2) inner product of a row and bits
+    m = len(bits)
+    rows = sliding_window_view(privamp.toeplitz_diagonal(m, r, seed), m)
+    return np.bitwise_xor.reduce(rows[:r, ::-1] & bits, axis=1)
+
+
 def test_toeplitz_matches_dense_matrix():
-    m, r, seed = 97, 31, 12
-    bits = stream(1, "test", "pa-bits").integers(0, 2, m, dtype=np.uint8)
-    diag = privamp.toeplitz_diagonal(m, r, seed)
-    dense = np.empty((r, m), dtype=np.uint8)
-    for i in range(r):
-        for j in range(m):
-            dense[i, j] = diag[i - j + m - 1]
-    want = dense.dot(bits) & 1
-    got = privamp.toeplitz_hash(bits, r, seed)
-    assert np.array_equal(got, want)
+    # (m, r): a single bit, a small case, the confirm-hash shape, and shapes
+    # below and above m * r = 2^22
+    for m, r in ((1, 1), (97, 31), (10_000, 64), (60_000, 8), (3_000, 1_500),
+                 (2_500, 2_500)):
+        bits = stream(1, "test", "pa-bits", m).integers(0, 2, m,
+                                                        dtype=np.uint8)
+        for seed in (0, 12):
+            want = _dense_toeplitz_hash(bits, r, seed)
+            assert np.array_equal(privamp.toeplitz_hash(bits, r, seed), want)
+        ones = np.ones(m, np.uint8)
+        assert np.array_equal(privamp.toeplitz_hash(ones, r, 5),
+                              _dense_toeplitz_hash(ones, r, 5))
+
+
+def test_toeplitz_exactness_guard():
+    # a non-binary diagonal makes the convolution non-integer
+    m, r = 101, 8
+    diag = np.full(m + r - 1, 0.5)
+    with pytest.raises(NumericalFailureError):
+        privamp._toeplitz_apply(diag, np.ones(m, np.uint8), m, r)
 
 
 def test_toeplitz_linearity_over_gf2():
@@ -103,3 +123,14 @@ def test_key_quality_on_random_and_biased():
     assert not privamp.key_quality(correlated).passed()
 
 
+
+
+def test_key_quality_pvalues_equal_normal_survival():
+    rng = stream(8, "test", "pa-quality-sf")
+    for bits in (rng.integers(0, 2, 10_001, dtype=np.uint8),
+                 (rng.random(5_000) < 0.47).astype(np.uint8),
+                 np.tile(np.array([1, 1, 0], np.uint8), 700)):
+        rep = privamp.key_quality(bits)
+        z_corr = rep.lag1_corr * np.sqrt(rep.n - 1)
+        assert rep.monobit_pvalue == 2.0 * stats.norm.sf(abs(rep.monobit_z))
+        assert rep.lag1_pvalue == 2.0 * stats.norm.sf(abs(z_corr))

@@ -1,6 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import optimize
 
 from cvqkd import security
 from cvqkd.channel import ChannelParams
@@ -73,6 +74,37 @@ def test_binary_entropy_inverse_roundtrip():
     assert np.allclose(back, p, atol=1e-10)
     assert security.inverse_binary_entropy(0.0) == 0.0
     assert security.inverse_binary_entropy(1.0) == 0.5
+
+
+def _brentq_inverse_binary_entropy(h):
+    # the scalar root-finder inverse, kept as the oracle for the bisection
+    if h <= 0.0:
+        return 0.0
+    if h >= 1.0:
+        return 0.5
+    return optimize.brentq(lambda p: security.binary_entropy(p) - h,
+                           1e-18, 0.5, xtol=1e-15)
+
+
+def test_inverse_binary_entropy_matches_brentq_oracle():
+    h = np.linspace(0.0, 1.0, 40_001)
+    got = security.inverse_binary_entropy(h)
+    want = np.array([_brentq_inverse_binary_entropy(v) for v in h])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(security.binary_entropy(got) - h)) <= 1e-14
+    # the scalar call gives the array call's value, element for element
+    for v, g in zip(h[::97], got[::97]):
+        assert security.inverse_binary_entropy(v) == g
+
+
+def test_inverse_binary_entropy_tiny_inputs():
+    # below h(1e-18) a root-finder bracketed from 1e-18 has no sign change
+    h = np.array([1e-300, 1e-18, 1e-17, 1e-16, 1e-15])
+    p = security.inverse_binary_entropy(h)
+    assert np.all(np.diff(p) >= 0.0) and np.all(p < 1e-16)
+    assert np.all(security.binary_entropy(p) <= h)
+    assert np.max(np.abs(security.binary_entropy(p) - h)) <= 1e-14
+    assert security.inverse_binary_entropy(1e-17) == p[2]
 
 
 def test_renyi_bound_below_shannon():

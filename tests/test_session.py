@@ -8,8 +8,10 @@ import pytest
 
 from cvqkd import reconcile, session, wire
 from cvqkd.errors import ProtocolError
-from cvqkd.pipeline import PipelineConfig, ledger_text, run_pipeline
+from cvqkd.pipeline import (PipelineConfig, ledger_text, run_pipeline,
+                            sift_layout)
 from cvqkd.rng import stream
+from cvqkd.wire import MsgType
 
 
 def _run_session(config):
@@ -143,17 +145,66 @@ def test_empty_key_is_confirmed_in_both_modes():
     assert alice.key_bytes == bob.key_bytes == b""
 
 
-def _transport(*frames):
-    """A Transport reading the given (type, payload) frames from memory."""
-    reader = io.BytesIO(b"".join(
+def _frames(*frames):
+    """A stream holding the given (type, payload) frames."""
+    return io.BytesIO(b"".join(
         wire.encode_frame(msg_type, wire.AUTH_TAG + payload)
         for msg_type, payload in frames))
-    return session.Transport(reader, io.BytesIO())
+
+
+def _transport(*frames):
+    """A Transport reading the given (type, payload) frames from memory."""
+    return session.Transport(_frames(*frames), io.BytesIO())
 
 
 def _sent_abort(t):
     msg_type, _ = wire.decode_frame(t.writer.getvalue())
     return msg_type == wire.MsgType.ABORT
+
+
+def _sent_types(data):
+    """Message types of the frames written to ``data``, in order."""
+    types = []
+    while data:
+        msg_type, body = wire.decode_frame(data)
+        types.append(msg_type)
+        data = data[wire.HEADER.size + len(body):]
+    return types
+
+
+SHORT_CONFIG = PipelineConfig(loss=0.54, var_mod=4.0, n_symbols=20_000,
+                              n_bands=4, seed=3)
+
+
+def _bob_frames(short):
+    """HELLO through REVEAL_SUBSET for SHORT_CONFIG, with every array of the
+    frame named ``short`` cut to 10 values."""
+    n = SHORT_CONFIG.n_symbols
+    x_a, p_a = stream(3, "test", "short-frames").normal(0.0, 2.0, (2, n))
+    idx, _ = sift_layout(SHORT_CONFIG)
+
+    def arrays(msg_type, *values):
+        cut = 10 if msg_type.name == short else None
+        return b"".join(wire.pack_floats(v[:cut]) for v in values)
+
+    return [
+        (MsgType.HELLO, SHORT_CONFIG.to_text().encode()),
+        (MsgType.SYMBOLS, arrays(MsgType.SYMBOLS, x_a, p_a)),
+        (MsgType.ANNOUNCE_MAGNITUDES,
+         arrays(MsgType.ANNOUNCE_MAGNITUDES, np.abs(x_a), np.abs(p_a))),
+        (MsgType.REVEAL_SUBSET, wire.pack_indices(idx)
+         + arrays(MsgType.REVEAL_SUBSET, x_a[idx], p_a[idx])),
+    ]
+
+
+@pytest.mark.parametrize("short", ["ANNOUNCE_MAGNITUDES", "SYMBOLS",
+                                   "REVEAL_SUBSET"])
+def test_short_arrays_are_rejected_with_abort(short):
+    writer = io.BytesIO()
+    with pytest.raises(ProtocolError):
+        session.run_bob(_frames(*_bob_frames(short)), writer)
+    assert _sent_types(writer.getvalue()) == [MsgType.HELLO_ACK,
+                                              MsgType.ABORT]
 
 
 def test_short_plan_is_rejected_with_abort():
