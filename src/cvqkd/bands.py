@@ -76,7 +76,8 @@ def band_statistic(sifted, eta_x, eta_p):
 
 
 def keep_mask(sifted, eta_x, eta_p, doubled_exponent=False):
-    """Bob's post-selection decision: net information density > 0.
+    """Bob's post-selection decision: net information density > 0, that is
+    Bob's bias tanh(2u) above Eve's bias (see ``security.keep_threshold_u``).
 
     Uses only information available to Bob (announced magnitudes, his own
     outcomes, and the estimated transmissions).
@@ -84,10 +85,10 @@ def keep_mask(sifted, eta_x, eta_p, doubled_exponent=False):
     mask = np.empty(len(sifted), dtype=bool)
     for qi, eta in ((0, eta_x), (1, eta_p)):
         sel = sifted.quad == qi
-        di = security.pointwise_net_information(
-            sifted.abs_v_a[sel], sifted.v_b[sel], eta, doubled_exponent
-        )
-        mask[sel] = di > 0.0
+        abs_v_a = sifted.abs_v_a[sel]
+        u = np.abs(abs_v_a * sifted.v_b[sel]) * np.sqrt(2.0 * eta)
+        mask[sel] = np.tanh(2.0 * u) > security.eve_bias(abs_v_a, eta,
+                                                         doubled_exponent)
     return mask
 
 

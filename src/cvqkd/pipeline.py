@@ -47,10 +47,13 @@ class PipelineConfig:
             raise InvalidConfigError(f"loss={self.loss} outside [0, 1)")
         if self.n_symbols < 10_000:
             raise InvalidConfigError("need at least 10^4 symbols")
-        if self.n_bands < 1:
-            raise InvalidConfigError("n_bands must be >= 1")
-        if self.var_mod is not None and self.var_mod <= 0.0:
-            raise InvalidConfigError(f"var_mod={self.var_mod} must be > 0")
+        if not 1 <= self.n_bands <= 255:  # one byte on the wire
+            raise InvalidConfigError("n_bands must be in [1, 255]")
+        if self.var_mod is not None and not 0.0 < self.var_mod < np.inf:
+            raise InvalidConfigError(
+                f"var_mod={self.var_mod} must be finite and > 0")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed={self.seed} must be >= 0")
 
     def resolve_var_mod(self):
         """Fill in the optimizing modulation variance if left unset."""
@@ -85,6 +88,8 @@ class PipelineConfig:
             if key not in casts:
                 raise InvalidConfigError(f"unknown config key {key}")
             if val == "":
+                if casts[key].default is not None:
+                    raise InvalidConfigError(f"config key {key} needs a value")
                 kwargs[key] = None
             elif key in ("n_symbols", "n_bands", "seed", "security_bits",
                          "min_reveal", "cascade_passes", "ad_cap"):
@@ -391,9 +396,6 @@ def band_step(rec, bits, distill, correct):
     if rec.n_distilled > 0:
         bits, rec.cascade_bits = correct(rec, bits,
                                          max(rec.bob_error_ad, 1e-3))
-    rec.eve_error_ir = reconcile.eve_error_after_leak(
-        rec.eve_error_ad, rec.cascade_bits, rec.n_distilled
-    )
     return bits
 
 
@@ -404,8 +406,16 @@ def finish_keys(records, parties, config):
     Eve's post-distillation error bound (mask leakage is already folded
     into it by the repeat-code update) and the band's Cascade leakage.
     ``parties`` holds, per party, one bit string per record; one key is
-    returned per party.
+    returned per party.  Eve's error after Cascade, which only the ledger
+    and the report read, is recorded here for all bands in one call.
     """
+    eve_error_ir = reconcile.eve_error_after_leak(
+        [rec.eve_error_ad for rec in records],
+        [rec.cascade_bits for rec in records],
+        [rec.n_distilled for rec in records],
+    )
+    for rec, p in zip(records, eve_error_ir):
+        rec.eve_error_ir = float(p)
     if records:
         largest = max(records, key=lambda rec: rec.n_distilled)
         largest.confirm_bits += privamp.CONFIRM_BITS

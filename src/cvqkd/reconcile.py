@@ -282,14 +282,14 @@ def eve_error_after_leak(p_eve, leaked_bits, length):
     Her per-bit Shannon information gains min(leak/length, remaining
     uncertainty) and is converted back to an error probability through the
     inverse binary entropy, rounding her error downward (in her favor).
+    Takes scalars or equal-length arrays, one entry per band; a band of
+    length 0 gets 0.
     """
     from .security import binary_entropy, inverse_binary_entropy
 
-    if length <= 0:
-        return 0.0
-    info = 1.0 - float(binary_entropy(p_eve))
-    info_new = min(1.0, info + leaked_bits / length)
-    if info_new >= 1.0:
-        return 0.0
-    p_new = float(inverse_binary_entropy(1.0 - info_new))
-    return min(p_new, float(p_eve))
+    p_eve = np.asarray(p_eve, dtype=float)
+    length = np.asarray(length)
+    info_new = np.minimum(1.0, 1.0 - binary_entropy(p_eve)
+                          + np.asarray(leaked_bits) / np.maximum(length, 1))
+    p_new = np.minimum(inverse_binary_entropy(1.0 - info_new), p_eve)
+    return np.where((length > 0) & (info_new < 1.0), p_new, 0.0)[()]

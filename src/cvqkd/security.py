@@ -1,16 +1,23 @@
 """Closed-form information quantities for the no-switching protocol.
 
 Implements Eve's information bound from the coherent-state overlap, the
-sign-flip error probability of Bob's data, Eve-information integrals
-over banded regions, net-information contour grids, the theoretical
-key-rate-versus-loss curve, and the order-2 Renyi entropy used to size
-the final key.
+sign-flip error probability of Bob's data, the post-selection threshold,
+Eve-information integrals over banded regions, net-information contour
+grids, the theoretical key-rate-versus-loss curve, and the order-2 Renyi
+entropy used to size the final key.
+
+Post-selection keeps a point iff Bob's bias tanh(2u) exceeds Eve's bias
+sqrt(1 - z^2), so its threshold u* is closed-form.  The theoretical curve
+integrates the net density over the kept region with one fixed tensor
+Gauss-Legendre rule; only ``band_integrals`` is adaptive and loads
+``scipy.integrate``.
 
 All information quantities are in bits.  ``abs_v_a`` is Alice's announced
 magnitude; ``v_b`` is Bob's outcome in shot-noise units (vacuum variance
 1/2); u denotes the banding statistic |v_a * v_b| * sqrt(2 * eta).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +54,15 @@ def channel_capacity(p_err):
     return 1.0 - binary_entropy(p_err)
 
 
+def _eve_exponent(abs_v_a, eta, doubled_exponent):
+    # -ln z = c (1 - eta) |v_a|^2, c = 2 under doubled_exponent.  Estimated
+    # transmissions may overshoot 1 slightly; a lossless channel gives Eve
+    # nothing (z = 1).
+    scale = 2.0 if doubled_exponent else 1.0
+    one_minus_eta = np.maximum(1.0 - np.asarray(eta, dtype=float), 0.0)
+    return scale * one_minus_eta * np.square(abs_v_a)
+
+
 def eve_overlap(abs_v_a, eta, doubled_exponent=False):
     """Eve's quadrature overlap function z.
 
@@ -54,11 +70,7 @@ def eve_overlap(abs_v_a, eta, doubled_exponent=False):
     ``doubled_exponent`` the coherent-state overlap with twice the exponent
     is used instead, for sensitivity studies.
     """
-    scale = 2.0 if doubled_exponent else 1.0
-    # estimated transmissions may overshoot 1 slightly; a lossless channel
-    # gives Eve nothing (z = 1)
-    one_minus_eta = np.maximum(1.0 - np.asarray(eta, dtype=float), 0.0)
-    return np.exp(-scale * one_minus_eta * np.square(abs_v_a))
+    return np.exp(-_eve_exponent(abs_v_a, eta, doubled_exponent))
 
 
 def helstrom_error(z):
@@ -76,17 +88,19 @@ def _capacity_from_q(q):
     return np.where(q >= 1.0, 1.0, term)
 
 
+def eve_bias(abs_v_a, eta, doubled_exponent=False):
+    """Eve's bias q = 1 - 2 p = sqrt(1 - z^2) at her Helstrom error p."""
+    expo = 2.0 * _eve_exponent(abs_v_a, eta, doubled_exponent)
+    return np.sqrt(-np.expm1(-expo))
+
+
 def eve_information_quadrature(abs_v_a, eta, doubled_exponent=False):
     """Eve's information bound for one quadrature, in bits.
 
     Equals the capacity 1 - h(p) at her Helstrom error probability
     p = (1 - sqrt(1 - z^2)) / 2.
     """
-    scale = 2.0 if doubled_exponent else 1.0
-    one_minus_eta = np.maximum(1.0 - np.asarray(eta, dtype=float), 0.0)
-    expo = 2.0 * scale * one_minus_eta * np.square(abs_v_a)
-    q = np.sqrt(-np.expm1(-expo))  # sqrt(1 - z^2)
-    return _capacity_from_q(q)
+    return _capacity_from_q(eve_bias(abs_v_a, eta, doubled_exponent))
 
 
 def error_probability(abs_v_a, abs_v_b, eta):
@@ -121,17 +135,17 @@ def pointwise_net_information(abs_v_a, v_b, eta, doubled_exponent=False):
 
 
 def keep_threshold_u(abs_v_a, eta, doubled_exponent=False):
-    """Smallest u at which the net information density turns positive."""
-    from scipy import optimize
+    """The u at which the net information density turns positive.
 
-    i_ae = float(eve_information_quadrature(abs_v_a, eta, doubled_exponent))
-    if i_ae <= 0.0 or i_ae <= bob_capacity_u(1e-12):
-        return 0.0
-    if i_ae >= 1.0:
-        return np.inf
-    return optimize.brentq(
-        lambda u: bob_capacity_u(u) - i_ae, 1e-12, 60.0, xtol=1e-12
-    )
+    Both capacities are ``_capacity_from_q``, which rises strictly, of
+    Bob's bias tanh(2u) and Eve's bias q; so the density is positive iff
+    tanh(2u) > q, i.e. u > artanh(q) / 2.  Since (1 + q) / (1 - q) =
+    (1 + q)^2 / z^2 this is log1p(q) / 2 - ln(z) / 2, which keeps its
+    digits as q -> 1 and never overflows.
+    """
+    q = eve_bias(abs_v_a, eta, doubled_exponent)
+    return (0.5 * log1p(q)
+            + 0.5 * _eve_exponent(abs_v_a, eta, doubled_exponent))[()]
 
 
 def _gauss(x, mean, var):
@@ -244,43 +258,55 @@ def contour_grid(params, va_values, vb_values, perspective="global",
     return pointwise_net_information(va, vb, eta, doubled_exponent)
 
 
-def post_selected_delta_i(var_mod, eta, doubled_exponent=False, rtol=1e-8,
+@functools.cache
+def _gauss_legendre(nodes, panels):
+    """Nodes and weights of a composite Gauss-Legendre rule on [0, 1]:
+    ``panels`` equal panels of ``nodes`` points each."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(nodes)
+    t = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+    w = np.tile(w / (2.0 * panels), panels)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+# (nodes per panel, panels) of the rules on v_a in [0, 8 sigma] and on v_b
+# from the keep boundary up
+_VA_RULE = (32, 8)
+_VB_RULE = (16, 4)
+
+
+def post_selected_delta_i(var_mod, eta, doubled_exponent=False,
                           vacuum_var=0.5):
     """Theoretical post-selected net information for one quadrature,
     bits per symbol: the net-information density integrated over the region
-    where it is positive."""
-    from scipy import integrate
+    where it is positive.
 
-    sigma = np.sqrt(var_mod)
+    One tensor Gauss-Legendre rule: v_a on [0, 8 sigma], and for each v_a
+    node, v_b from the keep boundary u* / (sqrt(2 eta) v_a) to
+    max(mu + 8 sd, boundary + 10 sd), where mu = sqrt(2 eta) v_a is the
+    mean of |v_b| and sd its shot-noise deviation.
+    """
     s = np.sqrt(2.0 * eta)
+    if s == 0.0:
+        return 0.0
     vb_sd = np.sqrt(vacuum_var)
-
-    def outer(va):
-        iae = eve_information_quadrature(va, eta, doubled_exponent)
-        ustar = keep_threshold_u(va, eta, doubled_exponent)
-        if not np.isfinite(ustar):
-            return 0.0
-        if s > 0.0 and va > 0.0:
-            vb_lo = ustar / (s * va)
-        else:
-            vb_lo = 0.0 if ustar == 0.0 else np.inf
-        if not np.isfinite(vb_lo):
-            return 0.0
-        mu = s * va
-        vb_hi = max(mu + TRUNCATION_SIGMAS * vb_sd, vb_lo + 10.0 * vb_sd)
-
-        def inner(vb):
-            u = va * vb * s
-            dens = _gauss(vb, mu, vacuum_var) + _gauss(vb, -mu, vacuum_var)
-            return (bob_capacity_u(u) - iae) * dens
-
-        val, _ = integrate.quad(inner, vb_lo, vb_hi, epsabs=1e-14,
-                                epsrel=rtol, limit=200)
-        return 2.0 * _gauss(va, 0.0, var_mod) * val
-
-    total, _ = integrate.quad(outer, 0.0, TRUNCATION_SIGMAS * sigma,
-                              epsabs=1e-13, epsrel=rtol, limit=400)
-    return total
+    ta, wa = _gauss_legendre(*_VA_RULE)
+    tb, wb = _gauss_legendre(*_VB_RULE)
+    va_hi = TRUNCATION_SIGMAS * np.sqrt(var_mod)
+    va = va_hi * ta
+    mu = s * va
+    vb_lo = keep_threshold_u(va, eta, doubled_exponent) / mu
+    width = np.maximum(mu + TRUNCATION_SIGMAS * vb_sd,
+                       vb_lo + 10.0 * vb_sd) - vb_lo
+    vb = vb_lo[:, None] + width[:, None] * tb
+    dens = (_gauss(vb, mu[:, None], vacuum_var)
+            + _gauss(vb, -mu[:, None], vacuum_var))
+    net = (bob_capacity_u(va[:, None] * vb * s)
+           - eve_information_quadrature(va, eta, doubled_exponent)[:, None])
+    inner = width * ((net * dens) @ wb)
+    return float(va_hi * np.sum(wa * 2.0 * _gauss(va, 0.0, var_mod) * inner))
 
 
 def _golden_section_max(f, lo, hi, tol=1e-3, max_iter=100):
@@ -309,8 +335,7 @@ def optimal_modulation_variance(eta, bounds=(0.1, 100.0),
     the given transmission, by golden-section search (log-scale)."""
 
     def objective(log_s2):
-        return post_selected_delta_i(np.exp(log_s2), eta, doubled_exponent,
-                                     rtol=1e-6)
+        return post_selected_delta_i(np.exp(log_s2), eta, doubled_exponent)
 
     lo, hi = np.log(bounds[0]), np.log(bounds[1])
     return float(np.exp(_golden_section_max(objective, lo, hi, tol=tol)))

@@ -238,6 +238,16 @@ def run_alice(reader, writer, config, transcript=None):
                          records, t.transcript)
 
 
+def _decode_config(payload):
+    """The HELLO configuration; a malformed one is a protocol error."""
+    try:
+        return pipeline.PipelineConfig.from_text(payload.decode())
+    # UnicodeDecodeError and InvalidConfigError are ValueErrors; int() of
+    # an infinite float raises OverflowError
+    except (ValueError, OverflowError) as exc:
+        raise ProtocolError(f"bad session config: {exc}") from None
+
+
 def _recv_plan(t, n_sift, n_bands):
     """The receiver's KEEP_MASK plan, checked against the local layout."""
     _, payload = t.recv(MsgType.KEEP_MASK)
@@ -263,7 +273,7 @@ def run_bob(reader, writer, transcript=None):
     """
     t = Transport(reader, writer, transcript)
     _, payload = t.recv(MsgType.HELLO)
-    config = pipeline.PipelineConfig.from_text(payload.decode())
+    config = t.decode(_decode_config, payload)
     config.resolve_var_mod()
     t.send(MsgType.HELLO_ACK, config.to_text().encode())
     seed = config.seed

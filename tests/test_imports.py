@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -33,10 +34,38 @@ print(" ".join(m for m in %r if m in sys.modules))
 """ % (HEAVY,)
 
 
-def test_key_path_imports_no_heavy_scipy_modules():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cvqkd.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", KEY_PATH], env=env,
+# The theory curve and the variance optimizer, then the same report.
+THEORY_PATH = """
+import sys
+from cvqkd import security
+from cvqkd.pipeline import PipelineConfig
+
+security.theoretical_key_rate_curve([0.54, 0.9])
+PipelineConfig(loss=0.54, var_mod=None).resolve_var_mod()
+print(" ".join(m for m in %r if m in sys.modules))
+""" % (HEAVY,)
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cvqkd.__file__)))
+
+
+def _heavy_modules_loaded(code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+def test_key_path_imports_no_heavy_scipy_modules():
+    assert _heavy_modules_loaded(KEY_PATH) == []
+
+
+def test_theory_path_imports_no_optimize_or_integrate():
+    loaded = _heavy_modules_loaded(THEORY_PATH)
+    assert "scipy.optimize" not in loaded
+    assert "scipy.integrate" not in loaded
+    # no root-finder is left anywhere in the package
+    for path in pathlib.Path(cvqkd.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "scipy.optimize" not in text, path
+        assert "scipy import optimize" not in text, path

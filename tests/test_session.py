@@ -207,6 +207,21 @@ def test_short_arrays_are_rejected_with_abort(short):
                                               MsgType.ABORT]
 
 
+@pytest.mark.parametrize("hello", [b"loss=abc", b"\xff\xfe", b"bogus",
+                                   b"n_symbols=5", b"n_bands=300", b"loss=",
+                                   b"n_symbols=1e400", b"var_mod=nan",
+                                   b"seed=-1"],
+                         ids=["bad_float", "not_utf8", "no_equals",
+                              "too_few_symbols", "too_many_bands",
+                              "empty_value", "overflow", "nan_variance",
+                              "negative_seed"])
+def test_bad_hello_is_rejected_with_abort(hello):
+    writer = io.BytesIO()
+    with pytest.raises(ProtocolError):
+        session.run_bob(_frames((MsgType.HELLO, hello)), writer)
+    assert _sent_types(writer.getvalue()) == [MsgType.ABORT]
+
+
 def test_short_plan_is_rejected_with_abort():
     t = _transport((wire.MsgType.KEEP_MASK, bytes(10)))
     with pytest.raises(ProtocolError):
