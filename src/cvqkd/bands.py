@@ -71,8 +71,10 @@ def sift(symbols, measurements):
 
 def band_statistic(sifted, eta_x, eta_p):
     """u = |v_a * v_b| * sqrt(2 * eta) per sifted bit."""
-    eta = np.where(sifted.quad == 0, eta_x, eta_p)
-    return np.abs(sifted.abs_v_a * sifted.v_b) * np.sqrt(2.0 * eta)
+    u = sifted.abs_v_a * sifted.v_b
+    np.abs(u, out=u)
+    u *= np.where(sifted.quad == 0, np.sqrt(2.0 * eta_x), np.sqrt(2.0 * eta_p))
+    return u
 
 
 def keep_mask(sifted, eta_x, eta_p, doubled_exponent=False):
@@ -82,13 +84,12 @@ def keep_mask(sifted, eta_x, eta_p, doubled_exponent=False):
     Uses only information available to Bob (announced magnitudes, his own
     outcomes, and the estimated transmissions).
     """
+    u = band_statistic(sifted, eta_x, eta_p)
     mask = np.empty(len(sifted), dtype=bool)
     for qi, eta in ((0, eta_x), (1, eta_p)):
         sel = sifted.quad == qi
-        abs_v_a = sifted.abs_v_a[sel]
-        u = np.abs(abs_v_a * sifted.v_b[sel]) * np.sqrt(2.0 * eta)
-        mask[sel] = np.tanh(2.0 * u) > security.eve_bias(abs_v_a, eta,
-                                                         doubled_exponent)
+        mask[sel] = np.tanh(2.0 * u[sel]) > security.eve_bias(
+            sifted.abs_v_a[sel], eta, doubled_exponent)
     return mask
 
 

@@ -21,6 +21,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import expit, log1p, ndtr, xlogy
 
 LN2 = np.log(2.0)
@@ -262,8 +263,6 @@ def contour_grid(params, va_values, vb_values, perspective="global",
 def _gauss_legendre(nodes, panels):
     """Nodes and weights of a composite Gauss-Legendre rule on [0, 1]:
     ``panels`` equal panels of ``nodes`` points each."""
-    from numpy.polynomial.legendre import leggauss
-
     x, w = leggauss(nodes)
     t = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
     w = np.tile(w / (2.0 * panels), panels)
@@ -271,10 +270,14 @@ def _gauss_legendre(nodes, panels):
     return t, w
 
 
-# (nodes per panel, panels) of the rules on v_a in [0, 8 sigma] and on v_b
-# from the keep boundary up
+# (nodes per panel, panels) of the rules on v_a from 0 up and on v_b from
+# the keep boundary up
 _VA_RULE = (32, 8)
 _VB_RULE = (16, 4)
+
+# Once 2 (-ln z) exceeds this, Eve's bias sqrt(1 - z^2) rounds to 1 in
+# double precision: her bound is 1 bit and no point is kept.
+_EVE_BIAS_SATURATES = 37.0
 
 
 def post_selected_delta_i(var_mod, eta, doubled_exponent=False,
@@ -283,10 +286,14 @@ def post_selected_delta_i(var_mod, eta, doubled_exponent=False,
     bits per symbol: the net-information density integrated over the region
     where it is positive.
 
-    One tensor Gauss-Legendre rule: v_a on [0, 8 sigma], and for each v_a
-    node, v_b from the keep boundary u* / (sqrt(2 eta) v_a) to
-    max(mu + 8 sd, boundary + 10 sd), where mu = sqrt(2 eta) v_a is the
-    mean of |v_b| and sd its shot-noise deviation.
+    One tensor Gauss-Legendre rule.  v_a runs from 0 to 8 sigma or to
+    where Eve's bias saturates, whichever is lower, as va_hi t^2 for t on
+    [0, 1], so the nodes sit on the kept region however large sigma is.
+    For each v_a node, v_b runs from the keep boundary u* / (sqrt(2 eta) v_a)
+    or mu - 8 sd, whichever is higher, to max(mu + 8 sd, that start + 10 sd),
+    where mu = sqrt(2 eta) v_a is the mean of |v_b| and sd its shot-noise
+    deviation.  Against nested adaptive quadrature the rule is within 1e-7
+    relative (plus 1e-11) for var_mod from 0.1 to 1e4 at losses 0 to 0.99.
     """
     s = np.sqrt(2.0 * eta)
     if s == 0.0:
@@ -295,9 +302,16 @@ def post_selected_delta_i(var_mod, eta, doubled_exponent=False,
     ta, wa = _gauss_legendre(*_VA_RULE)
     tb, wb = _gauss_legendre(*_VB_RULE)
     va_hi = TRUNCATION_SIGMAS * np.sqrt(var_mod)
-    va = va_hi * ta
+    expo = _eve_exponent(1.0, eta, doubled_exponent)  # -ln z at |v_a| = 1
+    if expo > 0.0:
+        va_hi = min(va_hi, np.sqrt(_EVE_BIAS_SATURATES / (2.0 * expo)))
+    # a quarter of the nodes lie below va_hi / 16, where the density turns
+    # on when sigma is large
+    va = va_hi * ta * ta
     mu = s * va
-    vb_lo = keep_threshold_u(va, eta, doubled_exponent) / mu
+    # both Gaussians of |v_b| have no mass below mu - 8 sd once that is > 0
+    vb_lo = np.maximum(keep_threshold_u(va, eta, doubled_exponent) / mu,
+                       mu - TRUNCATION_SIGMAS * vb_sd)
     width = np.maximum(mu + TRUNCATION_SIGMAS * vb_sd,
                        vb_lo + 10.0 * vb_sd) - vb_lo
     vb = vb_lo[:, None] + width[:, None] * tb
@@ -306,7 +320,9 @@ def post_selected_delta_i(var_mod, eta, doubled_exponent=False,
     net = (bob_capacity_u(va[:, None] * vb * s)
            - eve_information_quadrature(va, eta, doubled_exponent)[:, None])
     inner = width * ((net * dens) @ wb)
-    return float(va_hi * np.sum(wa * 2.0 * _gauss(va, 0.0, var_mod) * inner))
+    # dv_a = 2 va_hi t dt
+    return float(2.0 * va_hi
+                 * np.sum(ta * wa * 2.0 * _gauss(va, 0.0, var_mod) * inner))
 
 
 def _golden_section_max(f, lo, hi, tol=1e-3, max_iter=100):
