@@ -25,6 +25,11 @@ from .errors import InvalidConfigError, NumericalFailureError, ProtocolError
 from .rng import stream
 
 
+# the accepted spellings of a boolean config value, in any case
+_FLAGS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
 @dataclass
 class PipelineConfig:
     loss: float = 0.54
@@ -54,6 +59,14 @@ class PipelineConfig:
                 f"var_mod={self.var_mod} must be finite and > 0")
         if self.seed < 0:
             raise InvalidConfigError(f"seed={self.seed} must be >= 0")
+        if self.security_bits < 1:
+            raise InvalidConfigError("security_bits must be >= 1")
+        if not 0.0 < self.reveal_fraction < 1.0:
+            raise InvalidConfigError("reveal_fraction must be in (0, 1)")
+        if not 1 <= self.cascade_passes <= 255:  # one byte on the wire
+            raise InvalidConfigError("cascade_passes must be in [1, 255]")
+        if self.ad_cap < 1:
+            raise InvalidConfigError("ad_cap must be >= 1")
 
     def resolve_var_mod(self):
         """Fill in the optimizing modulation variance if left unset."""
@@ -95,7 +108,10 @@ class PipelineConfig:
                          "min_reveal", "cascade_passes", "ad_cap"):
                 kwargs[key] = int(float(val))
             elif key in ("doubled_exponent", "holdout"):
-                kwargs[key] = val.lower() in ("1", "true", "yes")
+                if val.lower() not in _FLAGS:
+                    raise InvalidConfigError(
+                        f"config key {key} needs one of {'/'.join(_FLAGS)}")
+                kwargs[key] = _FLAGS[val.lower()]
             else:
                 kwargs[key] = float(val)
         return cls(**kwargs)

@@ -6,7 +6,7 @@ drives the in-process pipeline (local oracle) and the networked session
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,9 @@ CASCADE_PASSES = 4
 CASCADE_BLOCK_FACTOR = 0.73
 HASH_BITS = 64
 
-# x^64 + x^4 + x^3 + x + 1, the usual degree-64 GF(2) reduction polynomial.
-_GF64_POLY = (1 << 64) | 0b11011
+# poly_hash64 reduces modulo P = x^64 + r with r = x^4 + x^3 + x + 1, the
+# usual degree-64 GF(2) reduction polynomial.
+_GF64_MASK = (1 << 64) - 1
 
 
 def ad_error(beta, n):
@@ -108,17 +109,29 @@ def advantage_distill(alice_bits, bob_bits, repeat_n, rng):
 
 
 def poly_hash64(bits):
-    """Polynomial hash of a bit string over GF(2^64)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    packed = np.packbits(bits)
+    """Polynomial hash of a bit string over GF(2^64): h <- h * x^64 + chunk
+    mod P per 8-byte chunk (the last one possibly shorter).  x^64 = r mod P,
+    and v * r is ``v ^ v << 1 ^ v << 3 ^ v << 4``; the overflow of h * r
+    past x^64 is folded back in by a second product with r."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8))
+    full = len(packed) // 8 * 8
+    chunks = np.frombuffer(packed[:full].tobytes(), ">u8").tolist()
+    if full < len(packed):
+        chunks.append(int.from_bytes(packed[full:].tobytes(), "big"))
     h = 1  # nonzero init so length is felt
-    for i in range(0, len(packed), 8):
-        chunk = int.from_bytes(packed[i: i + 8].tobytes(), "big")
-        h = (h << 64) | chunk
-        for bit in range(127, 63, -1):
-            if h >> bit & 1:
-                h ^= _GF64_POLY << (bit - 64)
-    return h & (1 << 64) - 1
+    for chunk in chunks:
+        t = h ^ h << 1 ^ h << 3 ^ h << 4
+        high = t >> 64
+        h = t & _GF64_MASK ^ high ^ high << 1 ^ high << 3 ^ high << 4 ^ chunk
+    return h
+
+
+def _prefix_xor(bits):
+    """pre with pre[i] the parity of bits[:i], so that bits[lo:hi] has
+    parity pre[hi] ^ pre[lo]."""
+    pre = np.zeros(bits.shape[:-1] + (bits.shape[-1] + 1,), dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits, axis=-1, out=pre[..., 1:])
+    return pre
 
 
 class ParityOracle:
@@ -133,24 +146,21 @@ class ParityOracle:
     def __init__(self, bits, perm_stream_factory):
         self.bits = np.asarray(bits, dtype=np.uint8)
         self._perm_stream_factory = perm_stream_factory
-        self._permuted = None
+        self._prefix = None
         self.disclosed_bits = 0
 
     def start(self, attempt, passes):
         rng = self._perm_stream_factory(attempt)
         n = len(self.bits)
-        self._permuted = [
-            self.bits[rng.permutation(n)] for _ in range(passes)
-        ]
+        self._prefix = _prefix_xor(np.array(
+            [self.bits[rng.permutation(n)] for _ in range(passes)]))
 
     def parities(self, queries):
-        """queries: iterable of (pass_index, lo, hi) in permuted coords."""
-        out = np.empty(len(queries), dtype=np.uint8)
-        for i, (pi, lo, hi) in enumerate(queries):
-            out[i] = np.bitwise_xor.reduce(self._permuted[pi][lo:hi]) \
-                if hi > lo else 0
-        self.disclosed_bits += len(queries)
-        return out
+        """queries: (k, 3) int array of (pass_index, lo, hi) rows, half-open
+        ranges in permuted coords; one parity per row."""
+        pi, lo, hi = np.asarray(queries).T
+        self.disclosed_bits += len(pi)
+        return self._prefix[pi, hi] ^ self._prefix[pi, lo]
 
     def hash64(self):
         self.disclosed_bits += HASH_BITS
@@ -165,71 +175,64 @@ class CascadeResult:
     corrected: int
 
 
-def _parity(arr):
-    return int(np.bitwise_xor.reduce(arr)) if len(arr) else 0
+def _queries(pi, lo, hi):
+    return np.column_stack((np.full(len(lo), pi), lo, hi))
 
 
 def _cascade_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
-    """One Cascade attempt.  Returns (corrected bob bits, corrections)."""
+    """One Cascade attempt.  Returns (corrected bob bits, corrections).
+
+    After the top-level parities of a pass, searches run in waves.  A wave
+    takes the lowest pass with a known range (one whose parity Alice has
+    disclosed) that Bob's parity no longer matches, and bisects the
+    smallest such range in each top-level block, one parity batch per
+    level; each answer makes both halves known.  The found bits are
+    flipped at the end of the wave.
+    """
     n = len(bob)
     k1 = max(2, min(n, math.ceil(CASCADE_BLOCK_FACTOR / max(beta_est, 1e-4))))
     oracle.start(attempt, passes)
     perms = [perm_rng.permutation(n) for _ in range(passes)]
-    inv = [np.empty(n, dtype=np.int64) for _ in range(passes)]
-    for i, perm in enumerate(perms):
-        inv[i][perm] = np.arange(n)
-    bob = bob.copy()
 
     # quadrupling the block size per pass keeps the total parity budget
     # within 1.25 h(beta) even at beta ~ 0.15, where doubling overshoots
     block_sizes = [min(n, k1 * 4**i) for i in range(passes)]
-    alice_par = [None] * passes  # per pass: dict block -> parity
-    queries = 0
-
-    def bob_block_parity(pi, blk):
-        k = block_sizes[pi]
-        return _parity(bob[perms[pi][blk * k: (blk + 1) * k]])
-
-    def binary_search(pi, blk):
-        nonlocal queries
-        k = block_sizes[pi]
-        lo, hi = blk * k, min((blk + 1) * k, n)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            a_par = int(oracle.parities([(pi, lo, mid)])[0])
-            queries += 1
-            b_par = _parity(bob[perms[pi][lo:mid]])
-            if a_par != b_par:
-                hi = mid
-            else:
-                lo = mid
-        return perms[pi][lo]  # global index of the bad bit
-
+    known = []  # per pass: (lo, hi, Alice's parity) of every known range
     corrections = 0
     for pi in range(passes):
-        k = block_sizes[pi]
-        n_blocks = (n + k - 1) // k
-        ranges = [(pi, b * k, min((b + 1) * k, n)) for b in range(n_blocks)]
-        pars = oracle.parities(ranges)
-        queries += len(ranges)
-        alice_par[pi] = {b: int(pars[b]) for b in range(n_blocks)}
-
-        pending = [(pi, b) for b in range(n_blocks)]
-        while pending:
-            cpi, blk = pending.pop()
-            if alice_par[cpi] is None or blk not in alice_par[cpi]:
-                continue
-            if bob_block_parity(cpi, blk) == alice_par[cpi][blk]:
-                continue
-            g = binary_search(cpi, blk)
-            bob[g] ^= 1
-            corrections += 1
-            # the flip changes parities of this bit's blocks in every pass
-            # whose top-level parities are already known
+        lo = np.arange(0, n, block_sizes[pi])
+        hi = np.minimum(lo + block_sizes[pi], n)
+        known.append((lo, hi, oracle.parities(_queries(pi, lo, hi))))
+        while True:
             for opi in range(pi + 1):
-                ob = int(inv[opi][g]) // block_sizes[opi]
-                pending.append((opi, ob))
-    return bob, corrections, queries
+                pre = _prefix_xor(bob[perms[opi]])
+                lo, hi, par = known[opi]
+                bad = np.flatnonzero(pre[hi] ^ pre[lo] != par)
+                if len(bad):
+                    break
+            else:
+                break
+            # the smallest mismatched known range of each top-level block
+            blocks = lo[bad] // block_sizes[opi]
+            order = np.lexsort((hi[bad] - lo[bad], blocks))
+            _, first = np.unique(blocks[order], return_index=True)
+            pick = bad[order[first]]
+            lo_s, hi_s, par_s = lo[pick], hi[pick], par[pick]
+            new = [known[opi]]
+            while len(live := np.flatnonzero(hi_s - lo_s > 1)):
+                lo_l, hi_l = lo_s[live], hi_s[live]
+                mid = (lo_l + hi_l) // 2
+                left = oracle.parities(_queries(opi, lo_l, mid))
+                right = par_s[live] ^ left
+                new += [(lo_l, mid, left), (mid, hi_l, right)]
+                go_right = left == pre[mid] ^ pre[lo_l]
+                lo_s[live] = np.where(go_right, mid, lo_l)
+                hi_s[live] = np.where(go_right, hi_l, mid)
+                par_s[live] = np.where(go_right, right, left)
+            known[opi] = tuple(map(np.concatenate, zip(*new)))
+            bob[perms[opi][lo_s]] ^= 1
+            corrections += len(lo_s)
+    return bob, corrections
 
 
 def cascade_correct(bob_bits, oracle, beta_est, perm_stream_factory,
@@ -246,7 +249,7 @@ def cascade_correct(bob_bits, oracle, beta_est, perm_stream_factory,
     for attempt in range(max_attempts):
         before = oracle.disclosed_bits
         perm_rng = perm_stream_factory(attempt)
-        bob, corrected, _ = _cascade_attempt(
+        bob, corrected = _cascade_attempt(
             bob, oracle, attempt, beta_est * 2**attempt, passes, perm_rng
         )
         total_corrected += corrected

@@ -88,6 +88,10 @@ class SessionResult:
     report: pipeline.RunReport | None = None
 
 
+# one query of a kind-1 Cascade batch; PipelineConfig keeps passes <= 255
+_CASCADE_QUERY = np.dtype([("pi", "u1"), ("lo", "<u8"), ("hi", "<u8")])
+
+
 class _RemoteOracle:
     """Parity-oracle proxy: forwards Cascade queries over the wire."""
 
@@ -101,9 +105,10 @@ class _RemoteOracle:
         self.transport.recv(MsgType.CASCADE_RESP)
 
     def parities(self, queries):
-        self.transport.send(MsgType.CASCADE_REQ, b"".join(
-            [b"\x01", struct.pack("<Q", len(queries))]
-            + [struct.pack("<BQQ", *query) for query in queries]))
+        packed = np.empty(len(queries), _CASCADE_QUERY)
+        packed["pi"], packed["lo"], packed["hi"] = np.asarray(queries).T
+        self.transport.send(MsgType.CASCADE_REQ, b"\x01" + struct.pack(
+            "<Q", len(packed)) + packed.tobytes())
         _, payload = self.transport.recv(MsgType.CASCADE_RESP)
         bits, _ = wire.unpack_bits(payload)
         self.disclosed_bits += len(queries)
@@ -132,16 +137,19 @@ def _cascade_request(payload, n, passes, started):
         return kind, attempt
     if kind == 1:
         (count,) = wire.unpack_from("<Q", payload, 1)
-        queries = list(struct.iter_unpack(
-            "<BQQ", wire.take(payload, 9, 17 * count)))
+        q = np.frombuffer(wire.take(payload, 9, _CASCADE_QUERY.itemsize
+                                    * count), _CASCADE_QUERY)
         if not started:
             raise ProtocolError("Cascade parity query before start")
-        for pi, lo, hi in queries:
-            if not (pi < passes and lo < hi <= n):
-                raise ProtocolError(
-                    f"Cascade query (pass {pi}, bits {lo}:{hi}) outside "
-                    f"{passes} passes of {n} bits")
-        return kind, queries
+        bad = np.flatnonzero((q["pi"] >= passes) | (q["lo"] >= q["hi"])
+                             | (q["hi"] > n))
+        if len(bad):
+            pi, lo, hi = q[bad[0]].tolist()
+            raise ProtocolError(
+                f"Cascade query (pass {pi}, bits {lo}:{hi}) outside "
+                f"{passes} passes of {n} bits")
+        return kind, np.column_stack(
+            (q["pi"], q["lo"], q["hi"])).astype(np.intp)
     if kind == 2:
         return kind, None
     if kind == 3:

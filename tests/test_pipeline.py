@@ -23,6 +23,8 @@ def test_config_text_roundtrip():
     cfg = _config(doubled_exponent=True, holdout=True)
     back = PipelineConfig.from_text(cfg.to_text())
     assert back == cfg
+    flags = PipelineConfig.from_text("holdout=YES\ndoubled_exponent=False")
+    assert flags.holdout and not flags.doubled_exponent
 
 
 def test_config_validation():
@@ -107,10 +109,10 @@ def test_ledger_text_parses():
 # with holdout.  A change that moves keys or ledgers on purpose updates these
 # and says so in CHANGES.md.
 PINS = {
-    False: ("c0a03ae97e77e880f00435e597849760763080dc5c9419244cff863a5355848a",
-            "0292f2585dd61c32d59e299573c51748b8eef70d996db3089382fcc30228a65e"),
-    True: ("a331bac3c9b80050f418d7bc7b3457196920b273f133dc6b3564f0cc1d78d542",
-           "bafaec2b571ea70571c6834ec3154909051991bb8b078b05ff81495a3f7922d6"),
+    False: ("c1772b8cd0f45e993f8b44cb3cf9645fdfdf36907495821ade5eb96969912387",
+            "2f4e4a293f0de7bae85c93155a12c905bf250fdbe1808337031d2d036e78fb2a"),
+    True: ("9260713c485d0e5480e246096e18e9cb9c6dcc4b50ed32e4eed57dcf735287b4",
+           "c16df902e4fd7ffa0b8f1d2b4582e878697639c5964ecd011f0c1f364c7329fd"),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,31 @@ def test_ad_rejects_bad_repeat_n():
                                  stream(0, "x"))
 
 
+_GF64_POLY = (1 << 64) | 0b11011
+
+
+def _bitwise_poly_hash64(bits):
+    """Reference poly_hash64: shift each 8-byte chunk in and reduce modulo
+    x^64 + x^4 + x^3 + x + 1 one bit at a time."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8))
+    h = 1
+    for i in range(0, len(packed), 8):
+        chunk = int.from_bytes(packed[i: i + 8].tobytes(), "big")
+        h = (h << 64) | chunk
+        for bit in range(127, 63, -1):
+            if h >> bit & 1:
+                h ^= _GF64_POLY << (bit - 64)
+    return h & (1 << 64) - 1
+
+
+def test_poly_hash64_matches_bitwise_reduction():
+    rng = stream(6, "test", "hash-oracle")
+    for n in [*range(300), 4999, 12_345, 65_536]:
+        for bits in (rng.integers(0, 2, n, dtype=np.uint8),
+                     np.ones(n, dtype=np.uint8)):
+            assert reconcile.poly_hash64(bits) == _bitwise_poly_hash64(bits)
+
+
 def test_poly_hash64_sensitivity():
     rng = stream(6, "test", "hash")
     bits = rng.integers(0, 2, 1000, dtype=np.uint8)
@@ -151,6 +177,78 @@ def test_cascade_retries_on_underestimate():
     res, _ = reconcile.cascade(alice, bob, 0.03, _factory(300))
     assert np.array_equal(res.bits, alice)
     assert res.attempts >= 1
+
+
+def _sequential_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
+    """Reference Cascade attempt with one parity query per bisection step.
+
+    Each mismatched top-level block is bisected on its own, from the whole
+    block, and every flip queues the flipped bit's block in each pass whose
+    top-level parities are known.
+    """
+    n = len(bob)
+    k1 = max(2, min(n, math.ceil(reconcile.CASCADE_BLOCK_FACTOR
+                                 / max(beta_est, 1e-4))))
+    oracle.start(attempt, passes)
+    perms = [perm_rng.permutation(n) for _ in range(passes)]
+    inv = [np.argsort(perm) for perm in perms]
+    bob = bob.copy()
+    block_sizes = [min(n, k1 * 4**i) for i in range(passes)]
+    alice_par = []
+    corrections = 0
+
+    def bob_parity(pi, lo, hi):
+        return np.bitwise_xor.reduce(bob[perms[pi][lo:hi]])
+
+    for pi in range(passes):
+        lo = np.arange(0, n, block_sizes[pi])
+        hi = np.minimum(lo + block_sizes[pi], n)
+        alice_par.append(oracle.parities(
+            np.column_stack((np.full(len(lo), pi), lo, hi))))
+        pending = [(pi, blk) for blk in range(len(lo))]
+        while pending:
+            cpi, blk = pending.pop()
+            k = block_sizes[cpi]
+            lo, hi = blk * k, min((blk + 1) * k, n)
+            if bob_parity(cpi, lo, hi) == alice_par[cpi][blk]:
+                continue
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if oracle.parities([[cpi, lo, mid]])[0] != \
+                        bob_parity(cpi, lo, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            g = perms[cpi][lo]
+            bob[g] ^= 1
+            corrections += 1
+            pending += [(opi, int(inv[opi][g]) // block_sizes[opi])
+                        for opi in range(pi + 1)]
+    return bob, corrections
+
+
+def _mean_parity_bits(trials):
+    """Mean Cascade parity bits (the leak less the hashes) over the trials."""
+    total = 0
+    for alice, bob, beta, factory in trials:
+        res, _ = reconcile.cascade(alice, bob, beta, factory)
+        assert np.array_equal(res.bits, alice)
+        total += res.leaked_bits - reconcile.HASH_BITS * res.attempts
+    return total / len(trials)
+
+
+def test_lockstep_cascade_leaks_no_more_than_sequential(monkeypatch):
+    rng = stream(10, "test", "cascade-lockstep")
+    trials = []
+    for n, beta in itertools.product((1000, 3000), (0.05, 0.1)):
+        for trial in range(40):
+            alice = rng.integers(0, 2, n, dtype=np.uint8)
+            bob = alice ^ (rng.random(n) < beta).astype(np.uint8)
+            trials.append((alice, bob, beta,
+                           _factory(400 + len(trials))))
+    lockstep = _mean_parity_bits(trials)
+    monkeypatch.setattr(reconcile, "_cascade_attempt", _sequential_attempt)
+    assert lockstep <= 1.01 * _mean_parity_bits(trials)
 
 
 def test_cascade_verification_failure_raises():

@@ -210,11 +210,20 @@ def test_short_arrays_are_rejected_with_abort(short):
 @pytest.mark.parametrize("hello", [b"loss=abc", b"\xff\xfe", b"bogus",
                                    b"n_symbols=5", b"n_bands=300", b"loss=",
                                    b"n_symbols=1e400", b"var_mod=nan",
-                                   b"seed=-1"],
+                                   b"seed=-1", b"security_bits=-500",
+                                   b"security_bits=0", b"reveal_fraction=-1",
+                                   b"reveal_fraction=1", b"cascade_passes=0",
+                                   b"cascade_passes=256", b"ad_cap=-3",
+                                   b"holdout=ture",
+                                   b"doubled_exponent=yes please"],
                          ids=["bad_float", "not_utf8", "no_equals",
                               "too_few_symbols", "too_many_bands",
                               "empty_value", "overflow", "nan_variance",
-                              "negative_seed"])
+                              "negative_seed", "negative_security_bits",
+                              "zero_security_bits", "negative_reveal",
+                              "reveal_all", "no_cascade_passes",
+                              "too_many_cascade_passes", "negative_ad_cap",
+                              "misspelt_flag", "flag_with_words"])
 def test_bad_hello_is_rejected_with_abort(hello):
     writer = io.BytesIO()
     with pytest.raises(ProtocolError):
@@ -229,18 +238,27 @@ def test_short_plan_is_rejected_with_abort():
     assert _sent_abort(t)
 
 
-def _cascade_frames(*queries):
+def _cascade_frames(queries, count=None):
     start = b"\x00" + struct.pack("<II", 0, 4)
-    batch = b"\x01" + struct.pack("<Q", len(queries)) + b"".join(
+    batch = b"\x01" + struct.pack(
+        "<Q", len(queries) if count is None else count) + b"".join(
         struct.pack("<BQQ", *q) for q in queries)
     return _transport((wire.MsgType.CASCADE_REQ, start),
                       (wire.MsgType.CASCADE_REQ, batch))
 
 
-@pytest.mark.parametrize("query", [(9, 0, 10), (0, 0, 10**6)],
-                         ids=["pass_out_of_range", "range_past_end"])
-def test_bad_cascade_query_is_rejected_with_abort(query):
-    t = _cascade_frames(query)
+@pytest.mark.parametrize("queries,count", [
+    ([(9, 0, 10)], None),
+    ([(0, 0, 10**6)], None),
+    ([(0, 5, 5)], None),
+    ([(0, 0, 10), (1, 10, 101), (2, 20, 30)], None),
+    ([(0, 0, 10), (3, 90, 100), (4, 0, 10)], None),
+    ([(0, 0, 10)], 2),
+], ids=["pass_out_of_range", "range_past_end", "empty_range",
+        "past_end_mid_batch", "pass_out_of_range_after_valid",
+        "count_past_payload"])
+def test_bad_cascade_query_is_rejected_with_abort(queries, count):
+    t = _cascade_frames(queries, count)
     oracle = reconcile.ParityOracle(np.zeros(100, np.uint8),
                                     lambda attempt: stream(1, "test", attempt))
     with pytest.raises(ProtocolError):
@@ -251,3 +269,13 @@ def test_bad_cascade_query_is_rejected_with_abort(query):
     _, first = wire.decode_frame(frames)
     rest = frames[wire.HEADER.size + len(first):]
     assert wire.decode_frame(rest)[0] == wire.MsgType.ABORT
+
+
+def test_cascade_runs_one_batch_per_bisection_level():
+    """At criterion 8's configuration, the sequential Cascade (one parity
+    query per bisection step) sent 3,251 kind-1 CASCADE_REQ frames."""
+    alice, _ = _run_session(PipelineConfig(
+        loss=0.54, var_mod=4.0, n_symbols=50_000, n_bands=6, seed=61))
+    batches = sum(1 for _, msg_type, body in alice.transcript
+                  if msg_type == MsgType.CASCADE_REQ and body[16] == 1)
+    assert batches < 3251 / 10
