@@ -148,8 +148,7 @@ def _cascade_request(payload, n, passes, started):
             raise ProtocolError(
                 f"Cascade query (pass {pi}, bits {lo}:{hi}) outside "
                 f"{passes} passes of {n} bits")
-        return kind, np.column_stack(
-            (q["pi"], q["lo"], q["hi"])).astype(np.intp)
+        return kind, np.column_stack((q["pi"], q["lo"], q["hi"]))
     if kind == 2:
         return kind, None
     if kind == 3:
