@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, special
 
 from .errors import InvalidConfigError, NumericalFailureError, ProtocolAbort
 from .rng import stream
@@ -51,11 +50,27 @@ def toeplitz_hash(bits, out_len, seed):
     return _toeplitz_apply(diag, bits, m, out_len)
 
 
+def _next_fast_len(n):
+    """The smallest 5-smooth integer (2^a 3^b 5^c) >= n, a length at which
+    a real FFT is fast."""
+    best = 1 << (n - 1).bit_length()  # the smallest power of two >= n
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # the smallest f35 * 2^k >= n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _toeplitz_apply(diag, bits, m, r):
     # out[i] = parity over j of diag[i - j + m - 1] * bits[j], terms m - 1 to
     # m + r - 2 of the convolution: a circular length >= m + r - 1 keeps them
-    n = fft.next_fast_len(m + r - 1, real=True)
-    conv = fft.irfft(fft.rfft(diag, n) * fft.rfft(bits, n), n)[m - 1:m - 1 + r]
+    n = _next_fast_len(m + r - 1)
+    conv = np.fft.irfft(np.fft.rfft(diag, n) * np.fft.rfft(bits, n),
+                        n)[m - 1:m - 1 + r]
     counts = np.rint(conv)
     if np.max(np.abs(conv - counts)) >= 0.25:
         raise NumericalFailureError("FFT convolution is not integer-exact")
@@ -112,15 +127,17 @@ class KeyQualityReport:
 
 def key_quality(bits):
     """Monobit frequency and lag-1 serial correlation tests."""
+    from scipy.special import ndtr
+
     bits = np.asarray(bits, dtype=float)
     n = len(bits)
     if n < 2:
         raise InvalidConfigError("key too short to test")
     z = (bits.sum() - n / 2.0) / np.sqrt(n / 4.0)
-    p_mono = 2.0 * special.ndtr(-abs(z))
+    p_mono = 2.0 * ndtr(-abs(z))
     x = bits - bits.mean()
     denom = float(np.sum(x * x))
     corr = float(np.sum(x[:-1] * x[1:]) / denom) if denom > 0 else 0.0
     z_corr = corr * np.sqrt(n - 1)
-    p_corr = 2.0 * special.ndtr(-abs(z_corr))
+    p_corr = 2.0 * ndtr(-abs(z_corr))
     return KeyQualityReport(float(z), float(p_mono), corr, float(p_corr), n)

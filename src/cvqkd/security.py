@@ -9,8 +9,9 @@ entropy used to size the final key.
 Post-selection keeps a point iff Bob's bias tanh(2u) exceeds Eve's bias
 sqrt(1 - z^2), so its threshold u* is closed-form.  The theoretical curve
 integrates the net density over the kept region with one fixed tensor
-Gauss-Legendre rule; only ``band_integrals`` is adaptive and loads
-``scipy.integrate``.
+Gauss-Legendre rule.  Everything here but ``band_integrals`` is numpy
+alone; that one is adaptive and loads ``scipy.integrate`` and
+``scipy.special.ndtr`` on its first call.
 
 All information quantities are in bits.  ``abs_v_a`` is Alice's announced
 magnitude; ``v_b`` is Bob's outcome in shot-noise units (vacuum variance
@@ -21,8 +22,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import expit, log1p, ndtr, xlogy
 
 LN2 = np.log(2.0)
 
@@ -31,10 +30,15 @@ LN2 = np.log(2.0)
 TRUNCATION_SIGMAS = 8.0
 
 
+def _xlogx(p):
+    # p ln p, with 0 ln 0 = 0 (the log is taken of 1 there)
+    return p * np.log(np.where(p == 0.0, 1.0, p))
+
+
 def binary_entropy(p):
     """Shannon entropy of a binary variable, in bits (0 log 0 = 0)."""
     p = np.asarray(p, dtype=float)
-    return (xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / -LN2
+    return (_xlogx(p) + _xlogx(1.0 - p)) / -LN2
 
 
 def inverse_binary_entropy(h):
@@ -85,7 +89,8 @@ def _capacity_from_q(q):
     # 1 - h((1-q)/2) evaluated stably via log1p; q in [0, 1].
     q = np.asarray(q, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = 0.5 * ((1.0 + q) * log1p(q) + (1.0 - q) * log1p(-q)) / LN2
+        term = 0.5 * ((1.0 + q) * np.log1p(q)
+                      + (1.0 - q) * np.log1p(-q)) / LN2
     return np.where(q >= 1.0, 1.0, term)
 
 
@@ -104,20 +109,27 @@ def eve_information_quadrature(abs_v_a, eta, doubled_exponent=False):
     return _capacity_from_q(eve_bias(abs_v_a, eta, doubled_exponent))
 
 
+def _expit(x):
+    # the logistic 1 / (1 + e^-x), with e^-|x| <= 1 on both branches so
+    # neither overflows and small results keep their relative precision
+    e = np.exp(-np.abs(x))
+    return (np.where(x >= 0.0, 1.0, e) / (1.0 + e))[()]
+
+
 def error_probability(abs_v_a, abs_v_b, eta):
     """Probability that Bob's sign disagrees with Alice's.
 
     ``exp(-4 u) / (1 + exp(-4 u))`` with u = |v_a v_b| sqrt(2 eta), evaluated
-    in log-space so large arguments underflow to 0 rather than overflowing.
+    so that large arguments underflow to 0 rather than overflowing.
     """
     u = np.abs(np.asarray(abs_v_a, dtype=float)
                * np.asarray(abs_v_b, dtype=float)) * np.sqrt(2.0 * eta)
-    return expit(-4.0 * u)
+    return _expit(-4.0 * u)
 
 
 def error_probability_u(u):
     """Bob's flip probability as a function of the banding statistic u."""
-    return expit(-4.0 * np.asarray(u, dtype=float))
+    return _expit(-4.0 * np.asarray(u, dtype=float))
 
 
 def bob_capacity_u(u):
@@ -145,7 +157,7 @@ def keep_threshold_u(abs_v_a, eta, doubled_exponent=False):
     digits as q -> 1 and never overflows.
     """
     q = eve_bias(abs_v_a, eta, doubled_exponent)
-    return (0.5 * log1p(q)
+    return (0.5 * np.log1p(q)
             + 0.5 * _eve_exponent(abs_v_a, eta, doubled_exponent))[()]
 
 
@@ -164,6 +176,7 @@ def band_integrals(var_mod, eta, boundaries_u, doubled_exponent=False,
     ``NumericalFailureError``.
     """
     from scipy import integrate
+    from scipy.special import ndtr
 
     from .errors import NumericalFailureError
 
@@ -263,6 +276,8 @@ def contour_grid(params, va_values, vb_values, perspective="global",
 def _gauss_legendre(nodes, panels):
     """Nodes and weights of a composite Gauss-Legendre rule on [0, 1]:
     ``panels`` equal panels of ``nodes`` points each."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(nodes)
     t = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
     w = np.tile(w / (2.0 * panels), panels)

@@ -110,13 +110,17 @@ class _RemoteOracle:
         self.transport.send(MsgType.CASCADE_REQ, b"\x01" + struct.pack(
             "<Q", len(packed)) + packed.tobytes())
         _, payload = self.transport.recv(MsgType.CASCADE_RESP)
-        bits, _ = wire.unpack_bits(payload)
+        bits, _ = self.transport.decode(wire.unpack_bits, payload, 0,
+                                        len(queries))
         self.disclosed_bits += len(queries)
-        return bits[: len(queries)]
+        return bits
 
     def hash64(self):
         self.transport.send(MsgType.CASCADE_REQ, b"\x02")
         _, payload = self.transport.recv(MsgType.CASCADE_RESP)
+        if len(payload) != 8:
+            raise self.transport.fail(
+                f"Cascade hash of {len(payload)} bytes, expected 8")
         self.disclosed_bits += reconcile.HASH_BITS
         return struct.unpack("<Q", payload)[0]
 

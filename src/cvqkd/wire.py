@@ -149,8 +149,12 @@ def pack_bits(bits):
     return struct.pack("<Q", len(bits)) + np.packbits(bits).tobytes()
 
 
-def unpack_bits(buf, offset=0):
+def unpack_bits(buf, offset=0, count=None):
+    """A bit array and the offset after it; an array of other than
+    ``count`` bits (when given) raises ``ProtocolError``."""
     (n,) = unpack_from("<Q", buf, offset)
+    if count is not None and n != count:
+        raise ProtocolError(f"array of {n} bits, expected {count}")
     nbytes = (n + 7) // 8
     packed = np.frombuffer(take(buf, offset + 8, nbytes), dtype=np.uint8)
     return np.unpackbits(packed)[:n], offset + 8 + nbytes

@@ -8,7 +8,8 @@ import cvqkd
 HEAVY = ("scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize")
 
 # Imports the package and the CLI, runs a small pipeline and a socketpair
-# session, then prints the heavy scipy modules that got loaded.
+# session, then prints the heavy scipy modules that got loaded and, after a
+# "|", every scipy module that got loaded.
 KEY_PATH = """
 import socket, sys, threading
 import cvqkd, cvqkd.cli
@@ -30,7 +31,8 @@ with sa.makefile("rb") as r, sa.makefile("wb") as w:
     session.run_alice(r, w, config())
 t.join(timeout=60)
 assert not t.is_alive()
-print(" ".join(m for m in %r if m in sys.modules))
+print(" ".join(m for m in %r if m in sys.modules), "|",
+      " ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """ % (HEAVY,)
 
 
@@ -42,26 +44,32 @@ from cvqkd.pipeline import PipelineConfig
 
 security.theoretical_key_rate_curve([0.54, 0.9])
 PipelineConfig(loss=0.54, var_mod=None).resolve_var_mod()
-print(" ".join(m for m in %r if m in sys.modules))
+print(" ".join(m for m in %r if m in sys.modules), "|",
+      " ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """ % (HEAVY,)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cvqkd.__file__)))
 
 
-def _heavy_modules_loaded(code):
+def _modules_loaded(code):
+    """(heavy scipy modules, all scipy modules) that ``code`` loaded."""
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    return out.stdout.split()
+    heavy, _, scipy = out.stdout.partition("|")
+    return heavy.split(), scipy.split()
 
 
 def test_key_path_imports_no_heavy_scipy_modules():
-    assert _heavy_modules_loaded(KEY_PATH) == []
+    heavy, scipy = _modules_loaded(KEY_PATH)
+    assert heavy == []
+    assert scipy == []
 
 
 def test_theory_path_imports_no_optimize_or_integrate():
-    loaded = _heavy_modules_loaded(THEORY_PATH)
+    loaded, scipy = _modules_loaded(THEORY_PATH)
+    assert scipy == []
     assert "scipy.optimize" not in loaded
     assert "scipy.integrate" not in loaded
     # no root-finder is left anywhere in the package

@@ -110,7 +110,7 @@ def test_ledger_text_parses():
 # and says so in CHANGES.md.
 PINS = {
     False: ("c1772b8cd0f45e993f8b44cb3cf9645fdfdf36907495821ade5eb96969912387",
-            "2f4e4a293f0de7bae85c93155a12c905bf250fdbe1808337031d2d036e78fb2a"),
+            "36137b06f156fa48f03e120d9f4a5b347cb3e515db5fc5b98a9c3c48fe0fe429"),
     True: ("9260713c485d0e5480e246096e18e9cb9c6dcc4b50ed32e4eed57dcf735287b4",
            "c16df902e4fd7ffa0b8f1d2b4582e878697639c5964ecd011f0c1f364c7329fd"),
 }

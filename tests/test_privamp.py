@@ -46,6 +46,27 @@ def test_toeplitz_matches_dense_matrix():
                               _dense_toeplitz_hash(ones, r, 5))
 
 
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    rng = stream(1, "test", "fast-len")
+    for n in [*range(1, 10_001), *rng.integers(10_001, 10**8, 2_000).tolist()]:
+        assert privamp._next_fast_len(n) == next_fast_len(n, real=True), n
+
+
+def test_toeplitz_at_fast_lengths_matches_dense_matrix():
+    # circular lengths m + r - 1 just below, at and just above the 5-smooth
+    # lengths 1000, 1024, 6075 and 6144
+    for total in (999, 1000, 1001, 1023, 1024, 1025, 6074, 6075, 6076, 6144,
+                  6145):
+        for r in (1, 64, total // 3):
+            m = total - r + 1
+            bits = stream(3, "test", "pa-fast", total, r).integers(
+                0, 2, m, dtype=np.uint8)
+            assert np.array_equal(privamp.toeplitz_hash(bits, r, 7),
+                                  _dense_toeplitz_hash(bits, r, 7))
+
+
 def test_toeplitz_exactness_guard():
     # a non-binary diagonal makes the convolution non-integer
     m, r = 101, 8

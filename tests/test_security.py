@@ -67,6 +67,37 @@ def test_error_probability_against_high_precision():
     assert security.error_probability_u(1e6) == 0.0
 
 
+def test_binary_entropy_matches_xlogy_oracle():
+    from scipy.special import xlogy
+
+    p = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16],
+                        np.linspace(0.0, 1.0, 10_001),
+                        np.logspace(-300, 0, 3_001),
+                        1.0 - np.logspace(-16, 0, 1_601)])
+    want = (xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / -np.log(2.0)
+    got = security.binary_entropy(p)
+    assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want))
+    assert security.binary_entropy(0.0) == security.binary_entropy(1.0) == 0.0
+
+
+def test_error_probability_matches_expit_oracle():
+    from scipy.special import expit
+
+    u = np.linspace(-200.0, 200.0, 4_001)
+    want = expit(-4.0 * u)
+    got = security.error_probability_u(u)
+    nonzero = want > 0.0
+    assert np.all(np.abs(got - want)[nonzero] <= 4e-16 * want[nonzero])
+    # past -4u = -709.8, 1 + e^(4u) overflows and expit gives 0; the
+    # two-branch form keeps the subnormal values
+    assert np.all(got[~nonzero] < np.finfo(float).tiny)
+    # no overflow at either end, and a scalar gives a scalar
+    with np.errstate(over="raise"):
+        assert security.error_probability_u(-1e6) == 1.0
+        assert security.error_probability_u(1e6) == 0.0
+    assert np.ndim(security.error_probability_u(1.0)) == 0
+
+
 def test_binary_entropy_inverse_roundtrip():
     p = np.linspace(1e-6, 0.5, 200)
     h = security.binary_entropy(p)

@@ -279,3 +279,22 @@ def test_cascade_runs_one_batch_per_bisection_level():
     batches = sum(1 for _, msg_type, body in alice.transcript
                   if msg_type == MsgType.CASCADE_REQ and body[16] == 1)
     assert batches < 3251 / 10
+
+
+@pytest.mark.parametrize("kind,answer", [
+    (1, wire.pack_bits(np.zeros(2, np.uint8))),
+    (2, bytes(2)),
+    (2, bytes(9)),
+], ids=["batch_one_bit_short", "hash_of_2_bytes", "hash_of_9_bytes"])
+def test_bad_cascade_answer_is_rejected_with_abort(kind, answer):
+    t = _transport((MsgType.CASCADE_RESP, answer))
+    oracle = session._RemoteOracle(t)
+    with pytest.raises(ProtocolError):
+        if kind == 1:
+            oracle.parities(np.array([[0, 0, 10], [0, 10, 20], [1, 0, 5]]))
+        else:
+            oracle.hash64()
+    assert oracle.disclosed_bits == 0
+    # the request went out, then the session aborted
+    assert _sent_types(t.writer.getvalue()) == [MsgType.CASCADE_REQ,
+                                                MsgType.ABORT]
