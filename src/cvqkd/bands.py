@@ -7,6 +7,10 @@ statistic u = |v_a * v_b| * sqrt(2 * eta) (the flip probability is a
 function of u alone), and Bob keeps only the points whose net information
 density is positive.
 
+Sifting and the keep decision are one pass over blocks of symbols: a block
+keeps only its kept bits and adds to tallies over all sifted bits, so the
+only array over all sifted bits is the one-byte keep mask.
+
 Post-selection and banding read only public data (announced magnitudes,
 Bob's outcomes and the channel estimate), so the receiver runs the same
 code on his own view, in which Alice's bits are unknown.  The tallies that
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import QUADRATURES
+from .channel import QUADRATURES, SYMBOL_BLOCK
 from .errors import InsufficientDataError, InvalidConfigError
 from . import security
 
@@ -39,34 +43,45 @@ class SiftedData:
     def __len__(self):
         return len(self.quad)
 
+    def _columns(self):
+        return self.quad, self.alice_bit, self.bob_bit, self.abs_v_a, self.v_b
+
     def subset(self, mask):
-        return SiftedData(
-            self.quad[mask],
-            None if self.alice_bit is None else self.alice_bit[mask],
-            self.bob_bit[mask], self.abs_v_a[mask], self.v_b[mask],
-        )
+        return SiftedData(*[None if col is None else col[mask]
+                            for col in self._columns()])
+
+    @classmethod
+    def concat(cls, parts):
+        return cls(*[None if cols[0] is None else np.concatenate(cols)
+                     for cols in zip(*[p._columns() for p in parts])])
 
 
-def sift(symbols, measurements):
-    """Turn aligned symbol/measurement batches into sign bits with attached
-    magnitudes.  Two bits per symbol, one per quadrature."""
+def sift_blocks(symbols, measurements, symbol_mask, signed=True):
+    """One sign bit per quadrature of each symbol in ``symbol_mask``, in
+    blocks of at most ``SYMBOL_BLOCK`` symbols, x blocks first.
+    With ``signed`` False, ``symbols`` holds only the announced magnitudes
+    and the blocks carry no Alice bits: the receiver's view."""
     if len(symbols) != len(measurements):
         raise InvalidConfigError(
             f"length mismatch: {len(symbols)} symbols, "
             f"{len(measurements)} measurements"
         )
-    quads = []
     for qi, quad in enumerate(QUADRATURES):
-        va = symbols.value(quad)
-        vb = measurements.value(quad)
-        quads.append((
-            np.full(len(va), qi, dtype=np.uint8),
-            (va > 0).astype(np.uint8),
-            (vb > 0).astype(np.uint8),
-            np.abs(va),
-            vb,
-        ))
-    return SiftedData(*[np.concatenate(cols) for cols in zip(*quads)])
+        va_all, vb_all = symbols.value(quad), measurements.value(quad)
+        for lo in range(0, len(va_all), SYMBOL_BLOCK):
+            block = slice(lo, lo + SYMBOL_BLOCK)
+            sel = symbol_mask[block]
+            va, vb = va_all[block][sel], vb_all[block][sel]
+            yield SiftedData(np.full(len(va), qi, dtype=np.uint8),
+                             (va > 0).astype(np.uint8) if signed else None,
+                             (vb > 0).astype(np.uint8), np.abs(va), vb)
+
+
+def sift(symbols, measurements):
+    """All sifted bits of aligned symbol/measurement batches as one
+    ``SiftedData``: the concatenation of ``sift_blocks``."""
+    return SiftedData.concat(list(sift_blocks(
+        symbols, measurements, np.ones(len(symbols), dtype=bool))))
 
 
 def band_statistic(sifted, eta_x, eta_p):
@@ -102,6 +117,15 @@ def eve_information_bits(quad, abs_v_a, eta_x, eta_p, doubled_exponent):
             abs_v_a[sel], eta, doubled_exponent
         )
     return out
+
+
+def eve_helstrom_sum(sifted, eta_x, eta_p, doubled_exponent):
+    """Eve's Helstrom error summed over the sifted bits."""
+    return float(np.sum(np.concatenate([
+        security.helstrom_error(security.eve_overlap(
+            sifted.abs_v_a[sifted.quad == qi], eta, doubled_exponent))
+        for qi, eta in ((0, eta_x), (1, eta_p))
+    ])))
 
 
 MIN_POINTS_PER_BAND = 100
@@ -232,12 +256,14 @@ def build_partition(sifted, eta_x, eta_p, n_bands=10, calibration_mask=None):
 
 @dataclass
 class PostselectResult:
-    mask: np.ndarray
+    mask: np.ndarray          # keep flag per sifted bit
     kept: SiftedData
     partition: BicPartition   # built on the kept bits
     slices: BandSlices        # the kept bits grouped by band
     report_post: security.InfoReport | None
     keep_fraction: float
+    n_flip: int | None        # tallies over all sifted bits: sign flips
+    eve_error_sum: float      # (None if unknown) and Eve's Helstrom error
 
 
 def postselect(sifted, params, n_bands=10, doubled_exponent=False,
@@ -245,16 +271,26 @@ def postselect(sifted, params, n_bands=10, doubled_exponent=False,
     """Post-select and band the sifted bits; report the kept net
     information when Alice's bits are known.
 
-    ``params`` may be a ``ChannelParams`` or a ``ChannelEstimate`` (anything
-    with eta()/var_mod()).  Net information is reported in bits per symbol
+    ``sifted`` is one ``SiftedData`` or an iterable of blocks of them
+    (``sift_blocks``), taken in one pass.  ``params`` may be a
+    ``ChannelParams`` or a ``ChannelEstimate`` (anything with
+    eta()/var_mod()).  Net information is reported in bits per symbol
     (kept contributions divided by the number of symbols).  By default the
     partition quantiles are computed on the kept data itself; pass a
     ``calibration_mask`` over the sifted bits to compute them, and the
     tallies, on the kept part of that subset instead.
     """
     eta_x, eta_p = params.eta("x"), params.eta("p")
-    mask = keep_mask(sifted, eta_x, eta_p, doubled_exponent)
-    kept = sifted.subset(mask)
+    masks, kept = [], []
+    n_flip, eve_sum = 0, 0.0
+    for block in [sifted] if isinstance(sifted, SiftedData) else sifted:
+        masks.append(keep_mask(block, eta_x, eta_p, doubled_exponent))
+        kept.append(block.subset(masks[-1]))
+        eve_sum += eve_helstrom_sum(block, eta_x, eta_p, doubled_exponent)
+        if block.alice_bit is not None:
+            n_flip += int(np.count_nonzero(block.alice_bit != block.bob_bit))
+    mask = np.concatenate(masks)
+    kept = SiftedData.concat(kept)
     partition = build_partition(
         kept, eta_x, eta_p, n_bands,
         None if calibration_mask is None else calibration_mask[mask],
@@ -263,9 +299,11 @@ def postselect(sifted, params, n_bands=10, doubled_exponent=False,
     report_post = None
     if kept.alice_bit is not None:
         report_post = _empirical_report(kept, slices, params,
-                                        len(sifted) / 2.0, doubled_exponent)
+                                        len(mask) / 2.0, doubled_exponent)
     return PostselectResult(mask, kept, partition, slices, report_post,
-                            float(np.count_nonzero(mask)) / len(sifted))
+                            len(kept) / len(mask),
+                            None if kept.alice_bit is None else n_flip,
+                            eve_sum)
 
 
 def _empirical_report(kept, slices, params, n_symbols, doubled_exponent):

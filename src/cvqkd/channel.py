@@ -4,6 +4,9 @@ Conventions: all quadrature values are in shot-noise units with a vacuum
 variance of 1/2 per quadrature.  Bob's outcome for quadrature v is
 ``v_b ~ Normal(sqrt(2*eta_v) * v_a, 1/2)``; Eve's retained tap amplitude
 after her 50/50 split is ``sqrt((1 - eta_v)/2) * v_a``.
+
+The symbols and Bob's outcomes (32 bytes per symbol) are the only arrays a
+key run keeps over all symbols; it builds no Eve taps (``measure``).
 """
 
 from dataclasses import dataclass
@@ -16,6 +19,9 @@ from .rng import stream
 VACUUM_VAR = 0.5
 
 QUADRATURES = ("x", "p")
+
+# symbols per block of the passes that walk all the symbols
+SYMBOL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,24 +104,27 @@ def generate_symbols(n, params, seed):
     return SymbolBatch(x, p)
 
 
-def transmit_and_measure(symbols, params, seed):
-    """Send symbols through the lossy channel and measure both quadratures.
-
-    Returns (MeasurementBatch, EveTapBatch).  Noise streams for the two
-    quadratures are independent; Eve's tap is deterministic.
-    """
+def measure(symbols, params, seed):
+    """Send symbols through the lossy channel and measure both quadratures:
+    independent noise per quadrature, plus the scaled symbols added in place
+    one block at a time."""
     sigma = np.sqrt(params.vacuum_var)
     out = {}
-    taps = {}
     for quad in QUADRATURES:
         va = symbols.value(quad)
-        eta = params.eta(quad)
-        noise = stream(seed, "channel", quad).normal(0.0, sigma, len(va))
-        out[quad] = np.sqrt(2.0 * eta) * va + noise
-        taps[quad] = np.sqrt((1.0 - eta) / 2.0) * va
-    meas = MeasurementBatch(out["x"], out["p"])
-    eve = EveTapBatch(taps["x"], taps["p"])
-    return meas, eve
+        gain = np.sqrt(2.0 * params.eta(quad))
+        vb = out[quad] = stream(seed, "channel", quad).normal(0.0, sigma,
+                                                              len(va))
+        for lo in range(0, len(va), SYMBOL_BLOCK):
+            vb[lo:lo + SYMBOL_BLOCK] += gain * va[lo:lo + SYMBOL_BLOCK]
+    return MeasurementBatch(out["x"], out["p"])
+
+
+def transmit_and_measure(symbols, params, seed):
+    """``measure`` and Eve's taps: (MeasurementBatch, EveTapBatch)."""
+    taps = [np.sqrt((1.0 - params.eta(quad)) / 2.0) * symbols.value(quad)
+            for quad in QUADRATURES]
+    return measure(symbols, params, seed), EveTapBatch(*taps)
 
 
 @dataclass

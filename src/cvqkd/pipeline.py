@@ -192,21 +192,22 @@ def reveal_indices(seed, n_symbols, reveal_fraction, min_reveal):
 
 
 def sift_layout(config):
-    """The revealed estimation subset, and the mask that picks the sifted
-    positions out of the x bits then the p bits of all symbols: every
-    symbol outside that subset, x block first."""
+    """The revealed estimation subset, and the mask of the sifted symbols:
+    every symbol outside that subset.  Each sifted symbol gives one sifted
+    position per quadrature, the x positions first."""
     idx = reveal_indices(config.seed, config.n_symbols,
                          config.reveal_fraction, config.min_reveal)
     symbol_mask = np.ones(config.n_symbols, dtype=bool)
     symbol_mask[idx] = False
-    return idx, np.tile(symbol_mask, 2)
+    return idx, symbol_mask
 
 
-def calibration_mask(config, n_sift):
+def calibration_mask(config, symbol_mask):
     """Under ``holdout``, the random tenth of the sifted positions whose kept
     bits set the band boundaries and the ``p_emp`` tallies; else None."""
     if not config.holdout:
         return None
+    n_sift = 2 * int(np.count_nonzero(symbol_mask))
     mask = np.zeros(n_sift, dtype=bool)
     mask[stream(config.seed, "protocol", "holdout").choice(
         n_sift, size=n_sift // 10, replace=False)] = True
@@ -461,18 +462,17 @@ def run_pipeline(config):
     seed = config.seed
 
     symbols = channel.generate_symbols(config.n_symbols, params, seed)
-    meas, _ = channel.transmit_and_measure(symbols, params, seed)
+    meas = channel.measure(symbols, params, seed)
 
     # parameter estimation on a revealed subset, excluded from key material
-    idx, sift_mask = sift_layout(config)
+    idx, symbol_mask = sift_layout(config)
     revealed_syms = channel.SymbolBatch(symbols.x_a[idx], symbols.p_a[idx])
     revealed_meas = channel.MeasurementBatch(meas.x_b[idx], meas.p_b[idx])
     est = channel.estimate_channel(revealed_syms, revealed_meas)
 
-    sifted = bands.sift(symbols, meas).subset(sift_mask)
-    ps = bands.postselect(sifted, est, config.n_bands,
-                          config.doubled_exponent,
-                          calibration_mask(config, len(sifted)))
+    ps = bands.postselect(bands.sift_blocks(symbols, meas, symbol_mask), est,
+                          config.n_bands, config.doubled_exponent,
+                          calibration_mask(config, symbol_mask))
     kept = ps.kept
     plan = band_plan(ps, est, config)
     records = band_records(plan, kept.abs_v_a, config.doubled_exponent)
@@ -498,7 +498,7 @@ def run_pipeline(config):
     )
     confirmed = privamp.key_confirm(alice_key, bob_key, confirm_seed_value(seed))
 
-    report = build_report(config, sifted, kept, records, est, t0)
+    report = build_report(config, ps, records, est, t0)
     return PipelineResult(
         report, records, est, ps, alice_key, bob_key,
         privamp.pack_key(bob_key), confirmed, kept,
@@ -509,37 +509,31 @@ def _h(p):
     return float(security.binary_entropy(p))
 
 
-def _eve_error(sifted, est, doubled_exponent):
-    """Eve's mean Helstrom error over the sifted bits."""
-    return float(np.mean(np.concatenate([
-        security.helstrom_error(security.eve_overlap(
-            sifted.abs_v_a[sifted.quad == qi], est.eta(quad),
-            doubled_exponent))
-        for qi, quad in enumerate(QUADRATURES)
-    ])))
-
-
-def build_report(config, sifted, kept, records, est, t0):
+def build_report(config, ps, records, est, t0):
     """Stage table in the protocol's processing order.
 
     Each row's net information is h(p_Eve) - h(p_Bob) of the stage's
     pooled error rates, i.e. bits of advantage per bit surviving that
-    stage; Eve's rates are tracked bounds in her favor.
+    stage; Eve's rates are tracked bounds in her favor.  ``ps`` is the
+    post-selection, with Alice's bits in its kept bits and tallies.
     """
     n_symbols = config.n_symbols
     symbol_rate = config.symbol_rate
     raw_rate = 2.0 * symbol_rate
 
-    raw_flip = float(np.mean(sifted.alice_bit != sifted.bob_bit))
-    eve_raw = _eve_error(sifted, est, config.doubled_exponent)
+    n_sift = len(ps.mask)
+    raw_flip = ps.n_flip / n_sift
+    eve_raw = ps.eve_error_sum / n_sift
     rows = [StageRow("raw", raw_rate, raw_flip, eve_raw,
                      _h(eve_raw) - _h(raw_flip))]
 
+    kept = ps.kept
     n_kept = len(kept)
-    post_rate = raw_rate * n_kept / len(sifted)
+    post_rate = raw_rate * n_kept / n_sift
     kept_flip = float(np.mean(kept.alice_bit != kept.bob_bit)) if n_kept else 0.0
-    eve_post = _eve_error(kept, est, config.doubled_exponent) if n_kept \
-        else 0.5
+    eve_post = bands.eve_helstrom_sum(kept, est.eta("x"), est.eta("p"),
+                                      config.doubled_exponent) / n_kept \
+        if n_kept else 0.5
     rows.append(StageRow("post_selected", post_rate, kept_flip, eve_post,
                          _h(eve_post) - _h(kept_flip)))
 

@@ -202,12 +202,12 @@ def run_alice(reader, writer, config, transcript=None):
     t.send(MsgType.ANNOUNCE_MAGNITUDES, wire.pack_floats(np.abs(symbols.x_a))
            + wire.pack_floats(np.abs(symbols.p_a)))
 
-    idx, sift_mask = pipeline.sift_layout(config)
+    idx, symbol_mask = pipeline.sift_layout(config)
     t.send(MsgType.REVEAL_SUBSET, wire.pack_indices(idx)
            + wire.pack_floats(symbols.x_a[idx])
            + wire.pack_floats(symbols.p_a[idx]))
 
-    v_a = np.concatenate([symbols.x_a, symbols.p_a])[sift_mask]
+    v_a = np.concatenate([symbols.x_a[symbol_mask], symbols.p_a[symbol_mask]])
     plan = _recv_plan(t, len(v_a), config.n_bands)
     v_a = v_a[plan.keep]
     records = pipeline.band_records(plan, np.abs(v_a),
@@ -295,7 +295,7 @@ def run_bob(reader, writer, transcript=None):
     x_a, off = t.decode(wire.unpack_floats, payload, 0, config.n_symbols)
     p_a, _ = t.decode(wire.unpack_floats, payload, off, config.n_symbols)
     sim_symbols = channel.SymbolBatch(x_a, p_a)
-    meas, _ = channel.transmit_and_measure(sim_symbols, params, seed)
+    meas = channel.measure(sim_symbols, params, seed)
 
     # ---- receiver role: public announcements only from here on
     _, payload = t.recv(MsgType.ANNOUNCE_MAGNITUDES)
@@ -306,7 +306,7 @@ def run_bob(reader, writer, transcript=None):
     idx, off = t.decode(wire.unpack_indices, payload)
     rx_a, off = t.decode(wire.unpack_floats, payload, off, len(idx))
     rp_a, _ = t.decode(wire.unpack_floats, payload, off, len(idx))
-    expected_idx, sift_mask = pipeline.sift_layout(config)
+    expected_idx, symbol_mask = pipeline.sift_layout(config)
     if not np.array_equal(idx, expected_idx):
         raise t.fail("revealed indices do not match the derived subset")
     est = channel.estimate_channel(
@@ -314,15 +314,11 @@ def run_bob(reader, writer, transcript=None):
         channel.MeasurementBatch(meas.x_b[idx], meas.p_b[idx]),
     )
 
-    v_b = np.concatenate([meas.x_b, meas.p_b])[sift_mask]
-    sifted = bands.SiftedData(
-        np.repeat(np.array([0, 1], np.uint8), len(v_b) // 2), None,
-        (v_b > 0).astype(np.uint8), np.concatenate([abs_x, abs_p])[sift_mask],
-        v_b,
-    )
-    ps = bands.postselect(sifted, est, config.n_bands,
-                          config.doubled_exponent,
-                          pipeline.calibration_mask(config, len(sifted)))
+    ps = bands.postselect(
+        bands.sift_blocks(channel.SymbolBatch(abs_x, abs_p), meas,
+                          symbol_mask, signed=False),
+        est, config.n_bands, config.doubled_exponent,
+        pipeline.calibration_mask(config, symbol_mask))
     plan = pipeline.band_plan(ps, est, config)
     t.send(MsgType.KEEP_MASK, plan.pack())
     records = pipeline.band_records(plan, ps.kept.abs_v_a,
@@ -369,12 +365,14 @@ def run_bob(reader, writer, transcript=None):
         raise ProtocolAbort("key confirmation failed")
 
     # ---- simulator-side diagnostics: the tallies that need the sent signs
-    sim = bands.sift(sim_symbols, meas).subset(sift_mask)
-    kept = sim.subset(ps.mask)
+    sent = np.concatenate([x_a[symbol_mask], p_a[symbol_mask]]) > 0
+    got = np.concatenate([meas.x_b[symbol_mask], meas.p_b[symbol_mask]]) > 0
+    ps.n_flip = int(np.count_nonzero(sent != got))
+    kept = ps.kept
+    kept.alice_bit = sent[ps.mask].astype(np.uint8)
     ps.partition.tally(kept.quad, kept.alice_bit != kept.bob_bit)
     pipeline.set_p_emp(records, ps.partition)
-    report = pipeline.build_report(config, sim, kept, records, est,
-                                   time.monotonic())
+    report = pipeline.build_report(config, ps, records, est, time.monotonic())
     return SessionResult(bob_key, privamp.pack_key(bob_key), confirmed,
                          records, t.transcript, report)
 

@@ -9,10 +9,13 @@ from cvqkd.bands import (
     keep_mask,
     postselect,
     sift,
+    sift_blocks,
     write_kept_csv,
 )
-from cvqkd.channel import ChannelParams, generate_symbols, transmit_and_measure
+from cvqkd.channel import (SYMBOL_BLOCK, ChannelParams, SymbolBatch,
+                           generate_symbols, measure, transmit_and_measure)
 from cvqkd.errors import InsufficientDataError, InvalidConfigError
+from cvqkd.pipeline import PipelineConfig, calibration_mask, sift_layout
 
 
 def _sifted(loss=0.54, var_mod=4.0, n=30_000, seed=3):
@@ -125,3 +128,54 @@ def test_write_kept_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] in ("x", "p")
     assert float(first[4]) == pytest.approx(res.kept.abs_v_a[0])
+
+
+@pytest.mark.parametrize("holdout", [False, True])
+def test_blocked_pass_matches_whole_array_oracle(holdout):
+    # a partial last block, and one x block with v_a = 0, where u = 0 and
+    # nothing is kept
+    config = PipelineConfig(loss=0.9, var_mod=0.51, n_bands=4, seed=11,
+                            n_symbols=3 * SYMBOL_BLOCK + 17, holdout=holdout)
+    params = config.channel_params()
+    eta = params.eta("x")
+    sym = generate_symbols(config.n_symbols, params, 12)
+    sym.x_a[SYMBOL_BLOCK:2 * SYMBOL_BLOCK] = 0.0
+    meas = measure(sym, params, 13)
+    _, symbol_mask = sift_layout(config)
+    calib = calibration_mask(config, symbol_mask)
+
+    sifted_pos = np.tile(symbol_mask, 2)
+    va = np.concatenate([sym.x_a, sym.p_a])[sifted_pos]
+    vb = np.concatenate([meas.x_b, meas.p_b])[sifted_pos]
+    whole = SiftedData(np.repeat(np.array([0, 1], np.uint8), len(va) // 2),
+                       (va > 0).astype(np.uint8), (vb > 0).astype(np.uint8),
+                       np.abs(va), vb)
+    mask = keep_mask(whole, eta, eta)
+    kept = whole.subset(mask)
+    eve_sum = sum(np.sum(security.helstrom_error(security.eve_overlap(
+        whole.abs_v_a[whole.quad == qi], eta))) for qi in (0, 1))
+    part = build_partition(kept, eta, eta, 4,
+                           None if calib is None else calib[mask])
+    n_x = len(va) // 2
+    empty = slice(n_x - np.count_nonzero(symbol_mask[SYMBOL_BLOCK:]),
+                  n_x - np.count_nonzero(symbol_mask[2 * SYMBOL_BLOCK:]))
+    assert len(va[empty]) > 60_000 and not mask[empty].any()
+
+    res = postselect(sift_blocks(sym, meas, symbol_mask), params, 4,
+                     calibration_mask=calib)
+    assert np.array_equal(res.mask, mask)
+    for name in ("quad", "alice_bit", "bob_bit", "abs_v_a", "v_b"):
+        assert np.array_equal(getattr(res.kept, name), getattr(kept, name))
+    assert res.n_flip == np.count_nonzero(whole.alice_bit != whole.bob_bit)
+    assert res.eve_error_sum == pytest.approx(eve_sum, rel=1e-12)
+    assert np.array_equal(res.partition.band_idx, part.band_idx)
+    assert np.array_equal(res.partition.n_error, part.n_error)
+
+    # the receiver's view: the same decisions without Alice's bits
+    view = postselect(sift_blocks(SymbolBatch(np.abs(sym.x_a),
+                                              np.abs(sym.p_a)),
+                                  meas, symbol_mask, signed=False),
+                      params, 4, calibration_mask=calib)
+    assert np.array_equal(view.mask, mask)
+    assert view.kept.alice_bit is None and view.n_flip is None
+    assert view.eve_error_sum == res.eve_error_sum

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,3 +136,20 @@ def test_optimized_variance_resolution():
     assert 0.1 < s2 < 100.0
     # resolves to a fixed value thereafter
     assert cfg.resolve_var_mod() == s2
+
+
+def test_peak_memory_per_symbol():
+    # the four per-symbol float64 arrays (symbols and Bob's outcomes) stay
+    # whole, 32 B/symbol; the sift -> keep pass adds the 1-byte keep mask
+    # per sifted bit and block-sized temporaries, nothing over all sifted
+    # bits
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        res = run_pipeline(PipelineConfig(loss=0.9, var_mod=0.51,
+                                          n_symbols=n, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.confirmed
+    assert peak / n <= 60.0
