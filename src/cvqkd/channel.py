@@ -253,14 +253,3 @@ def gaussianity_check(values, kurtosis_limit=0.1, significance=0.01):
         significance,
         len(values),
     )
-
-
-def write_symbol_csv(path, symbols, measurements):
-    """Export (x_a, p_a, x_b, p_b) as decimal text with >= 15 sig digits."""
-    with open(path, "w") as fh:
-        fh.write("# shot-noise-units, vacuum-var=0.5\n")
-        fh.write("x_a,p_a,x_b,p_b\n")
-        for row in zip(
-            symbols.x_a, symbols.p_a, measurements.x_b, measurements.p_b
-        ):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

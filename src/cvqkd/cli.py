@@ -10,6 +10,7 @@ confirmed.
 """
 
 import argparse
+import contextlib
 import os
 import socket
 import sys
@@ -22,19 +23,26 @@ from .errors import CvqkdError, InvalidConfigError
 from .rng import stream
 
 
-def atomic_write(path, data):
-    """Write text or bytes via a temp file in the same directory."""
-    mode = "wb" if isinstance(data, bytes) else "w"
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """A temp file in the same directory that replaces ``path`` when the
+    block ends without an error."""
     dirname = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-")
     try:
         with os.fdopen(fd, mode) as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path, data):
+    """Write text or bytes via a temp file in the same directory."""
+    with atomic_open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
 
 
 def add_pipeline_args(parser):
@@ -191,16 +199,22 @@ def parse_endpoint(text):
     return host or "127.0.0.1", int(port)
 
 
-def _session_artifacts(args, config, result):
+def _transcript_sink(args):
+    """With ``--out``, the session's transcript file, written as frames
+    pass; else a context of None."""
+    if not args.out:
+        return contextlib.nullcontext()
+    os.makedirs(args.out, exist_ok=True)
+    return atomic_open(os.path.join(args.out, "transcript.txt"))
+
+
+def _session_artifacts(args, result):
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         atomic_write(os.path.join(args.out, "key.bin"), result.key_bytes)
         atomic_write(os.path.join(args.out, "ledger.txt"),
                      pipeline.ledger_text(result.records))
-        atomic_write(os.path.join(args.out, "config.txt"), config.to_text())
-        tmp = os.path.join(args.out, ".tmp-transcript.txt")
-        session.dump_transcript(tmp, result.transcript)
-        os.replace(tmp, os.path.join(args.out, "transcript.txt"))
+        atomic_write(os.path.join(args.out, "config.txt"),
+                     result.config.to_text())
         if result.report is not None:
             atomic_write(os.path.join(args.out, "report.txt"),
                          result.report.render() + "\n")
@@ -213,16 +227,14 @@ def cmd_serve(args):
     conn, peer = server.accept()
     server.close()
     print(f"session from {peer[0]}:{peer[1]}")
-    with conn, conn.makefile("rb") as rd, conn.makefile("wb") as wr:
-        result = session.run_bob(rd, wr)
+    with conn, conn.makefile("rb") as rd, conn.makefile("wb") as wr, \
+            _transcript_sink(args) as sink:
+        result = session.run_bob(rd, wr, sink)
     if result.report is not None:
         print(result.report.render())
     print(f"final key: {len(result.key_bits)} bits, "
           f"confirmed={result.confirmed}")
-    config = pipeline.PipelineConfig.from_text(
-        result.transcript[0][2][16:].decode()
-    )
-    _session_artifacts(args, config, result)
+    _session_artifacts(args, result)
     return 0 if result.confirmed and len(result.key_bits) > 0 else 1
 
 
@@ -230,11 +242,12 @@ def cmd_connect(args):
     config = build_config(args)
     host, port = parse_endpoint(args.peer)
     with socket.create_connection((host, port)) as conn, \
-            conn.makefile("rb") as rd, conn.makefile("wb") as wr:
-        result = session.run_alice(rd, wr, config)
+            conn.makefile("rb") as rd, conn.makefile("wb") as wr, \
+            _transcript_sink(args) as sink:
+        result = session.run_alice(rd, wr, config, sink)
     print(f"final key: {len(result.key_bits)} bits, "
           f"confirmed={result.confirmed}")
-    _session_artifacts(args, config, result)
+    _session_artifacts(args, result)
     return 0 if result.confirmed and len(result.key_bits) > 0 else 1
 
 

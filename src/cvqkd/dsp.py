@@ -243,25 +243,3 @@ def dsp_roundtrip(symbols, config, noise_seed=None, noise_var=VACUUM_VAR):
     """Synthesize then decode, returning exactly len(symbols) estimates."""
     wf = synthesize_waveform(symbols, config, noise_seed, noise_var)
     return decode_waveform(wf, config, n_symbols=len(symbols))
-
-
-def save_waveform(path, waveform, config):
-    """Headerless little-endian float64 samples plus a sidecar metadata
-    file (key=value lines)."""
-    np.asarray(waveform, dtype="<f8").tofile(path)
-    with open(str(path) + ".meta", "w") as fh:
-        fh.write(f"sample_rate_hz={config.sample_rate:.17g}\n")
-        fh.write(f"band_low_hz={config.band_low:.17g}\n")
-        fh.write(f"band_high_hz={config.band_high:.17g}\n")
-
-
-def load_waveform(path):
-    waveform = np.fromfile(path, dtype="<f8")
-    meta = {}
-    with open(str(path) + ".meta") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, val = line.split("=", 1)
-                meta[key] = float(val)
-    return waveform, meta

@@ -48,12 +48,6 @@ def eve_ad_error(eps, n):
     return 0.5 * total
 
 
-def ad_accept_probability(beta, n):
-    """Probability that a block survives distillation."""
-    beta = np.asarray(beta, dtype=float)
-    return beta**n + (1.0 - beta) ** n
-
-
 def choose_repeat_n(beta, target=0.11, cap=8):
     """Smallest repeat length whose predicted residual error is <= target."""
     for n in range(1, cap + 1):

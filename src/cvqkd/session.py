@@ -30,29 +30,41 @@ from .errors import ProtocolAbort, ProtocolError, VerificationFailedError
 from .wire import AUTH_TAG, MsgType
 
 
-class Transport:
-    """Framed, transcript-recording byte channel."""
+# a body's tag, Cascade kind byte and u64 count: all the audit reads
+HEAD_BYTES = 25
 
-    def __init__(self, reader, writer, transcript=None):
+
+class Transport:
+    """Framed byte channel.  Its transcript keeps the first ``HEAD_BYTES``
+    of each frame body; ``sink``, a text file or None, receives every whole
+    frame as a transcript line as it passes."""
+
+    def __init__(self, reader, writer, sink=None):
         self.reader = reader
         self.writer = writer
-        self.transcript = transcript if transcript is not None else []
+        self.sink = sink
+        self.transcript = []
+
+    def _record(self, direction, msg_type, body):
+        self.transcript.append((direction, msg_type, bytes(body[:HEAD_BYTES])))
+        if self.sink is not None:
+            self.sink.write(f"{direction} {msg_type.name} {body.hex()}\n")
 
     def send(self, msg_type, payload=b""):
         body = AUTH_TAG + payload
         self.writer.write(wire.encode_frame(msg_type, body))
         self.writer.flush()
-        self.transcript.append(("tx", MsgType(msg_type), body))
+        self._record("tx", MsgType(msg_type), body)
 
     def recv(self, *expected):
         msg_type, body = wire.read_frame(self.reader)
-        self.transcript.append(("rx", MsgType(msg_type), body))
+        self._record("rx", msg_type, body)
         if msg_type == MsgType.ABORT:
             raise ProtocolAbort(body[16:].decode("utf-8", "replace"))
         if expected and msg_type not in expected:
             raise self.fail(
                 f"expected {[MsgType(e).name for e in expected]}, "
-                f"got {MsgType(msg_type).name}"
+                f"got {msg_type.name}"
             )
         if body[:16] != AUTH_TAG:
             raise self.fail("bad auth tag")
@@ -84,7 +96,8 @@ class SessionResult:
     key_bytes: bytes
     confirmed: bool
     records: list
-    transcript: list
+    transcript: list          # (direction, MsgType, body head) per frame
+    config: pipeline.PipelineConfig
     report: pipeline.RunReport | None = None
 
 
@@ -183,10 +196,11 @@ def _serve_cascade(transport, oracle, passes):
             return arg
 
 
-def run_alice(reader, writer, config, transcript=None):
+def run_alice(reader, writer, config, sink=None):
     """Sender role: generates symbols, announces magnitudes, serves Cascade
-    parities, and produces the final key."""
-    t = Transport(reader, writer, transcript)
+    parities, and produces the final key.  ``sink`` is the ``Transport``'s
+    transcript file."""
+    t = Transport(reader, writer, sink)
     config.resolve_var_mod()
     seed = config.seed
     params = config.channel_params()
@@ -208,6 +222,7 @@ def run_alice(reader, writer, config, transcript=None):
            + wire.pack_floats(symbols.p_a[idx]))
 
     v_a = np.concatenate([symbols.x_a[symbol_mask], symbols.p_a[symbol_mask]])
+    del symbols
     plan = _recv_plan(t, len(v_a), config.n_bands)
     v_a = v_a[plan.keep]
     records = pipeline.band_records(plan, np.abs(v_a),
@@ -246,7 +261,7 @@ def run_alice(reader, writer, config, transcript=None):
     if not confirmed:
         raise ProtocolAbort("key confirmation failed")
     return SessionResult(alice_key, privamp.pack_key(alice_key), confirmed,
-                         records, t.transcript)
+                         records, t.transcript, config)
 
 
 def _decode_config(payload):
@@ -275,14 +290,15 @@ def _pack_sizing(records, seed):
     return b"".join(out)
 
 
-def run_bob(reader, writer, transcript=None):
+def run_bob(reader, writer, sink=None):
     """Serve side: channel simulator plus the receiver role.
 
-    The configuration arrives in HELLO; the result carries the receiver's
-    key and, as a simulator-side diagnostic, the full stage report
-    computed with knowledge of the sent symbols.
+    The configuration arrives in HELLO; the result carries it, the
+    receiver's key and, as a simulator-side diagnostic, the full stage
+    report computed with knowledge of the sent symbols.  ``sink`` is the
+    ``Transport``'s transcript file.
     """
-    t = Transport(reader, writer, transcript)
+    t = Transport(reader, writer, sink)
     _, payload = t.recv(MsgType.HELLO)
     config = t.decode(_decode_config, payload)
     config.resolve_var_mod()
@@ -290,23 +306,29 @@ def run_bob(reader, writer, transcript=None):
     seed = config.seed
     params = config.channel_params()
 
-    # ---- channel simulator (sees the sent values; the receiver does not)
+    expected_idx, symbol_mask = pipeline.sift_layout(config)
+
+    # ---- channel simulator (sees the sent values; the receiver does not);
+    # of the sent values only the signs of the sifted ones outlive it
     _, payload = t.recv(MsgType.SYMBOLS)
     x_a, off = t.decode(wire.unpack_floats, payload, 0, config.n_symbols)
     p_a, _ = t.decode(wire.unpack_floats, payload, off, config.n_symbols)
-    sim_symbols = channel.SymbolBatch(x_a, p_a)
-    meas = channel.measure(sim_symbols, params, seed)
+    del payload
+    meas = channel.measure(channel.SymbolBatch(x_a, p_a), params, seed)
+    sent = np.concatenate([x_a[symbol_mask], p_a[symbol_mask]]) > 0
+    del x_a, p_a
 
     # ---- receiver role: public announcements only from here on
     _, payload = t.recv(MsgType.ANNOUNCE_MAGNITUDES)
     abs_x, off = t.decode(wire.unpack_floats, payload, 0, config.n_symbols)
     abs_p, _ = t.decode(wire.unpack_floats, payload, off, config.n_symbols)
+    del payload
 
     _, payload = t.recv(MsgType.REVEAL_SUBSET)
     idx, off = t.decode(wire.unpack_indices, payload)
     rx_a, off = t.decode(wire.unpack_floats, payload, off, len(idx))
     rp_a, _ = t.decode(wire.unpack_floats, payload, off, len(idx))
-    expected_idx, symbol_mask = pipeline.sift_layout(config)
+    del payload
     if not np.array_equal(idx, expected_idx):
         raise t.fail("revealed indices do not match the derived subset")
     est = channel.estimate_channel(
@@ -319,6 +341,8 @@ def run_bob(reader, writer, transcript=None):
                           symbol_mask, signed=False),
         est, config.n_bands, config.doubled_exponent,
         pipeline.calibration_mask(config, symbol_mask))
+    got = np.concatenate([meas.x_b[symbol_mask], meas.p_b[symbol_mask]]) > 0
+    del abs_x, abs_p, meas
     plan = pipeline.band_plan(ps, est, config)
     t.send(MsgType.KEEP_MASK, plan.pack())
     records = pipeline.band_records(plan, ps.kept.abs_v_a,
@@ -365,8 +389,6 @@ def run_bob(reader, writer, transcript=None):
         raise ProtocolAbort("key confirmation failed")
 
     # ---- simulator-side diagnostics: the tallies that need the sent signs
-    sent = np.concatenate([x_a[symbol_mask], p_a[symbol_mask]]) > 0
-    got = np.concatenate([meas.x_b[symbol_mask], meas.p_b[symbol_mask]]) > 0
     ps.n_flip = int(np.count_nonzero(sent != got))
     kept = ps.kept
     kept.alice_bit = sent[ps.mask].astype(np.uint8)
@@ -374,14 +396,7 @@ def run_bob(reader, writer, transcript=None):
     pipeline.set_p_emp(records, ps.partition)
     report = pipeline.build_report(config, ps, records, est, time.monotonic())
     return SessionResult(bob_key, privamp.pack_key(bob_key), confirmed,
-                         records, t.transcript, report)
-
-
-def dump_transcript(path, transcript):
-    """One frame per line: direction, message name, payload hex."""
-    with open(path, "w") as fh:
-        for direction, msg_type, body in transcript:
-            fh.write(f"{direction} {msg_type.name} {body.hex()}\n")
+                         records, t.transcript, config, report)
 
 
 def load_transcript(path):

@@ -7,6 +7,7 @@ not implemented).  Unknown message types are a protocol error, never a
 silent skip.
 """
 
+import io
 import struct
 from enum import IntEnum
 
@@ -18,6 +19,7 @@ MAGIC = b"CVQK"
 VERSION = 1
 HEADER = struct.Struct("<4sBBI")
 MAX_PAYLOAD = 1 << 31
+READ_CHUNK = 1 << 20  # most bytes one read asks the stream for
 AUTH_TAG = bytes(16)
 
 
@@ -62,24 +64,14 @@ def encode_frame(msg_type, payload=b""):
 
 def decode_frame(data):
     """Decode one frame from a byte string; returns (msg_type, payload)."""
-    if len(data) < HEADER.size:
-        raise TruncatedFrameError(f"{len(data)} bytes < header size")
-    magic, version, mtype, length = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise BadVersionError(f"unsupported version {version}")
-    if len(data) < HEADER.size + length:
-        raise TruncatedFrameError("payload truncated")
-    try:
-        mtype = MsgType(mtype)
-    except ValueError:
-        raise UnknownMessageTypeError(f"unknown message type {mtype}")
-    return mtype, data[HEADER.size: HEADER.size + length]
+    return read_frame(io.BytesIO(data))
 
 
 def read_frame(stream):
-    """Read one frame from a blocking binary stream."""
+    """Read one frame from a blocking binary stream; returns (msg_type,
+    payload) with the payload a bytearray.  The payload grows only as bytes
+    arrive, so a length the peer claims but does not send costs at most
+    ``READ_CHUNK`` bytes."""
     head = stream.read(HEADER.size)
     if len(head) < HEADER.size:
         raise TruncatedFrameError("stream closed mid-header")
@@ -88,9 +80,9 @@ def read_frame(stream):
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    payload = b""
+    payload = bytearray()
     while len(payload) < length:
-        chunk = stream.read(length - len(payload))
+        chunk = stream.read(min(length - len(payload), READ_CHUNK))
         if not chunk:
             raise TruncatedFrameError("stream closed mid-payload")
         payload += chunk

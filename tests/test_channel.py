@@ -7,7 +7,6 @@ from cvqkd.channel import (
     gaussianity_check,
     generate_symbols,
     transmit_and_measure,
-    write_symbol_csv,
 )
 from cvqkd.errors import InvalidConfigError, TooFewSamplesError
 from cvqkd.rng import stream
@@ -89,15 +88,3 @@ def test_gaussianity_check_accepts_gaussian_rejects_uniform():
     assert good.passed
     bad = gaussianity_check(rng.uniform(-1.0, 1.0, 50_000))
     assert not bad.passed
-
-
-def test_write_symbol_csv(tmp_path):
-    params = ChannelParams.from_loss(0.3, var_mod=1.0)
-    sym = generate_symbols(50, params, seed=1)
-    meas, _ = transmit_and_measure(sym, params, seed=2)
-    path = tmp_path / "symbols.csv"
-    write_symbol_csv(path, sym, meas)
-    rows = np.loadtxt(path, delimiter=",", skiprows=2)
-    assert rows.shape == (50, 4)
-    assert np.allclose(rows[:, 0], sym.x_a)
-    assert np.allclose(rows[:, 3], meas.p_b)

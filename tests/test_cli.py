@@ -121,6 +121,19 @@ def test_serve_connect_and_audit(tmp_path, capsys):
     key_a = (tmp_path / "alice" / "key.bin").read_bytes()
     key_b = (tmp_path / "bob" / "key.bin").read_bytes()
     assert key_a == key_b and len(key_a) > 0
+    # the transcript files hold whole bodies, streamed as frames passed
+    for side, direction in (("alice", "tx"), ("bob", "rx")):
+        lines = (tmp_path / side / "transcript.txt").read_text().splitlines()
+        frames = [line.split(" ", 2) for line in lines]
+        assert frames[0][:2] == [direction, "HELLO"]
+        hello = PipelineConfig.from_text(
+            bytes.fromhex(frames[0][2])[16:].decode())
+        assert hello == PipelineConfig.from_text(
+            (tmp_path / side / "config.txt").read_text())
+        assert (hello.loss, hello.n_symbols, hello.seed) == (0.54, 50_000, 41)
+        assert [len(body) // 2 for _, name, body in frames
+                if name == "SYMBOLS"] == [32 + 16 * 50_000]
+        assert not list((tmp_path / side).glob(".tmp-*"))
 
     rc = cli.main(["audit",
                    "--transcript", str(tmp_path / "alice" / "transcript.txt"),

@@ -6,9 +6,7 @@ from cvqkd.dsp import (
     DspConfig,
     decode_waveform,
     dsp_roundtrip,
-    load_waveform,
     root_raised_cosine,
-    save_waveform,
     synthesize_waveform,
 )
 from cvqkd.errors import InsufficientDataError, InvalidConfigError
@@ -89,14 +87,3 @@ def test_decode_too_short_waveform():
     config = DspConfig()
     with pytest.raises(InsufficientDataError):
         decode_waveform(np.zeros(10), config)
-
-
-def test_save_load_roundtrip(tmp_path):
-    config = DspConfig()
-    wf = synthesize_waveform(_symbols(500), config)
-    path = tmp_path / "capture.f64"
-    save_waveform(path, wf, config)
-    back, meta = load_waveform(path)
-    assert np.array_equal(back, wf)
-    assert meta["sample_rate_hz"] == config.sample_rate
-    assert meta["band_low_hz"] == config.band_low

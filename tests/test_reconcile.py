@@ -43,10 +43,6 @@ def test_ad_error_matches_exhaustive_enumeration():
         for beta in (0.05, 0.11, 0.3, 0.45):
             _, want = _enumerate_ad(beta, n)
             assert reconcile.ad_error(beta, n) == pytest.approx(want, rel=1e-12)
-            want_acc = _enumerate_ad(beta, n)[0]
-            assert reconcile.ad_accept_probability(beta, n) == pytest.approx(
-                want_acc, rel=1e-12
-            )
 
 
 def test_eve_ad_error_matches_exhaustive_map():

@@ -2,6 +2,7 @@ import io
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cvqkd.rng import stream
 from cvqkd.wire import MsgType
 
 
-def _run_session(config):
+def _run_session(config, sink=None):
     sa, sb = socket.socketpair()
     res = {}
 
@@ -25,7 +26,7 @@ def _run_session(config):
     t = threading.Thread(target=bob)
     t.start()
     with sa.makefile("rb") as r, sa.makefile("wb") as w:
-        res["alice"] = session.run_alice(r, w, config)
+        res["alice"] = session.run_alice(r, w, config, sink)
     t.join()
     sa.close()
     sb.close()
@@ -67,20 +68,42 @@ def test_transcript_audit_matches_ledger(completed_session):
     for side in (alice, bob):
         audit = session.audit_transcript(side.transcript)
         assert audit["total_bits"] == total
+        assert max(len(body) for _, _, body in side.transcript) \
+            == session.HEAD_BYTES
 
 
-def test_transcript_dump_load_roundtrip(tmp_path, completed_session):
-    alice, _ = completed_session
+def test_session_result_carries_the_config(completed_session):
+    alice, bob = completed_session
+    assert alice.config == bob.config == CONFIG
+
+
+def test_session_peak_memory_per_symbol():
+    """Both roles together, at 200k symbols: ~157 B/symbol, against 288
+    while the transcripts kept whole bodies and the serve side kept the
+    float arrays of every symbol to the end of the run."""
+    n = 200_000
+    tracemalloc.start()
+    try:
+        alice, bob = _run_session(PipelineConfig(
+            loss=0.54, var_mod=4.0, n_symbols=n, n_bands=10, seed=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alice.confirmed and alice.key_bytes == bob.key_bytes
+    assert peak / n <= 200.0
+
+
+def test_transcript_dump_load_roundtrip(tmp_path):
+    """The transcript a role streams loads back to whole bodies whose heads
+    are the in-memory transcript."""
     path = tmp_path / "transcript.log"
-    session.dump_transcript(path, alice.transcript)
+    with open(path, "w") as sink:
+        alice, _ = _run_session(CONFIG, sink)
     back = session.load_transcript(path)
-    assert len(back) == len(alice.transcript)
-    for (d1, t1, b1), (d2, t2, b2) in zip(back, alice.transcript):
-        assert (d1, t1, b1) == (d2, t2, b2)
-    audit = session.audit_transcript(back)
-    assert audit["total_bits"] == session.audit_transcript(
-        alice.transcript
-    )["total_bits"]
+    assert [(d, t, b[:session.HEAD_BYTES]) for d, t, b in back] \
+        == alice.transcript
+    assert session.audit_transcript(back) == session.audit_transcript(
+        alice.transcript)
 
 
 def test_bob_rejects_garbage():

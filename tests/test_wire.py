@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def test_truncated_frame_rejected():
     buf = io.BytesIO(frame[:-2])
     with pytest.raises(wire.TruncatedFrameError):
         wire.read_frame(buf)
+
+
+def test_claimed_length_is_not_allocated_up_front():
+    """A header may claim up to 2 GiB; memory follows the bytes that come."""
+    frame = wire.HEADER.pack(wire.MAGIC, wire.VERSION, wire.MsgType.SYMBOLS,
+                             64 << 20) + bytes(10)
+    stream = io.BufferedReader(io.BytesIO(frame))
+    tracemalloc.start()
+    try:
+        with pytest.raises(wire.TruncatedFrameError):
+            wire.read_frame(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_unknown_message_type_rejected():
