@@ -7,9 +7,12 @@ statistic u = |v_a * v_b| * sqrt(2 * eta) (the flip probability is a
 function of u alone), and Bob keeps only the points whose net information
 density is positive.
 
-Sifting and the keep decision are one pass over blocks of symbols: a block
-keeps only its kept bits and adds to tallies over all sifted bits, so the
-only array over all sifted bits is the one-byte keep mask.
+Sifted and kept bits are two quadrature halves, the ``n_x`` x bits first
+(``halves``), and per-bit quantities are computed per half with a scalar
+eta.  Sifting and the keep decision are one pass over blocks of symbols
+that computes u and Eve's bias once per bit and keeps only the kept bits,
+with their u and Eve's information bound for the later steps; the only
+array over all sifted bits is the one-byte keep mask.
 
 Post-selection and banding read only public data (announced magnitudes,
 Bob's outcomes and the channel estimate), so the receiver runs the same
@@ -26,34 +29,56 @@ from .errors import InsufficientDataError, InvalidConfigError
 from . import security
 
 
+def halves(n_x, n):
+    """(slice, quadrature index) of the x and p halves of n bits, x first."""
+    return (slice(0, n_x), 0), (slice(n_x, n), 1)
+
+
 @dataclass
 class SiftedData:
-    """Per-bit sifted records, x-quadrature block first, then p.
+    """Per-bit sifted records: the ``n_x`` x-quadrature bits, then the p bits.
 
     ``alice_bit`` is private to Alice and None in the receiver's view; Bob's
-    post-selection decision uses only ``abs_v_a`` and ``v_b``.
+    post-selection decision uses only ``abs_v_a`` and ``v_b``.  ``u``, which
+    ``subset`` carries, and Eve's bias ``eve_q`` are None until ``keep_mask``
+    fills them in.
     """
 
-    quad: np.ndarray      # uint8, 0 = x, 1 = p
+    n_x: int
     alice_bit: np.ndarray | None  # uint8
     bob_bit: np.ndarray    # uint8
     abs_v_a: np.ndarray
     v_b: np.ndarray
+    u: np.ndarray | None = None
+    eve_q: np.ndarray | None = None
+
+    _COLUMNS = ("alice_bit", "bob_bit", "abs_v_a", "v_b", "u")
 
     def __len__(self):
-        return len(self.quad)
+        return len(self.bob_bit)
 
-    def _columns(self):
-        return self.quad, self.alice_bit, self.bob_bit, self.abs_v_a, self.v_b
+    @property
+    def quad(self):
+        """Quadrature per bit, 0 = x, 1 = p."""
+        return np.repeat(np.array([0, 1], np.uint8),
+                         [self.n_x, len(self) - self.n_x])
 
     def subset(self, mask):
-        return SiftedData(*[None if col is None else col[mask]
-                            for col in self._columns()])
+        cols = [getattr(self, name) for name in self._COLUMNS]
+        return SiftedData(int(np.count_nonzero(mask[:self.n_x])),
+                          *[None if c is None else c[mask] for c in cols])
 
     @classmethod
     def concat(cls, parts):
-        return cls(*[None if cols[0] is None else np.concatenate(cols)
-                     for cols in zip(*[p._columns() for p in parts])])
+        """The parts in order, x parts first; joining drops each column from
+        the parts, so it needs little more memory than they hold."""
+        cols = []
+        for name in cls._COLUMNS:
+            col = [getattr(p, name) for p in parts]
+            for p in parts:
+                setattr(p, name, None)
+            cols.append(None if col[0] is None else np.concatenate(col))
+        return cls(sum(p.n_x for p in parts), *cols)
 
 
 def sift_blocks(symbols, measurements, symbol_mask, signed=True):
@@ -66,13 +91,13 @@ def sift_blocks(symbols, measurements, symbol_mask, signed=True):
             f"length mismatch: {len(symbols)} symbols, "
             f"{len(measurements)} measurements"
         )
-    for qi, quad in enumerate(QUADRATURES):
+    for quad in QUADRATURES:
         va_all, vb_all = symbols.value(quad), measurements.value(quad)
         for lo in range(0, len(va_all), SYMBOL_BLOCK):
             block = slice(lo, lo + SYMBOL_BLOCK)
             sel = symbol_mask[block]
             va, vb = va_all[block][sel], vb_all[block][sel]
-            yield SiftedData(np.full(len(va), qi, dtype=np.uint8),
+            yield SiftedData(len(va) if quad == "x" else 0,
                              (va > 0).astype(np.uint8) if signed else None,
                              (vb > 0).astype(np.uint8), np.abs(va), vb)
 
@@ -88,7 +113,8 @@ def band_statistic(sifted, eta_x, eta_p):
     """u = |v_a * v_b| * sqrt(2 * eta) per sifted bit."""
     u = sifted.abs_v_a * sifted.v_b
     np.abs(u, out=u)
-    u *= np.where(sifted.quad == 0, np.sqrt(2.0 * eta_x), np.sqrt(2.0 * eta_p))
+    for s, qi in halves(sifted.n_x, len(u)):
+        u[s] *= np.sqrt(2.0 * (eta_x, eta_p)[qi])
     return u
 
 
@@ -97,55 +123,45 @@ def keep_mask(sifted, eta_x, eta_p, doubled_exponent=False):
     Bob's bias tanh(2u) above Eve's bias (see ``security.keep_threshold_u``).
 
     Uses only information available to Bob (announced magnitudes, his own
-    outcomes, and the estimated transmissions).
+    outcomes, and the estimated transmissions).  Fills in the bits' ``u``
+    and Eve's bias ``eve_q``.
     """
-    u = band_statistic(sifted, eta_x, eta_p)
-    mask = np.empty(len(sifted), dtype=bool)
-    for qi, eta in ((0, eta_x), (1, eta_p)):
-        sel = sifted.quad == qi
-        mask[sel] = np.tanh(2.0 * u[sel]) > security.eve_bias(
-            sifted.abs_v_a[sel], eta, doubled_exponent)
-    return mask
+    sifted.u = band_statistic(sifted, eta_x, eta_p)
+    sifted.eve_q = q = np.empty(len(sifted))
+    for s, qi in halves(sifted.n_x, len(q)):
+        q[s] = security.eve_bias(sifted.abs_v_a[s], (eta_x, eta_p)[qi],
+                                 doubled_exponent)
+    return np.tanh(2.0 * sifted.u) > q
 
 
-def eve_information_bits(quad, abs_v_a, eta_x, eta_p, doubled_exponent):
-    """Eve's information bound per sifted bit, in bits."""
-    out = np.empty(len(quad))
-    for qi, eta in ((0, eta_x), (1, eta_p)):
-        sel = quad == qi
-        out[sel] = security.eve_information_quadrature(
-            abs_v_a[sel], eta, doubled_exponent
-        )
+def eve_information_bits(n_x, abs_v_a, eta_x, eta_p, doubled_exponent):
+    """Eve's information bound per bit, in bits, the ``n_x`` x bits first."""
+    out = np.empty(len(abs_v_a))
+    for s, qi in halves(n_x, len(abs_v_a)):
+        out[s] = security.eve_information_quadrature(
+            abs_v_a[s], (eta_x, eta_p)[qi], doubled_exponent)
     return out
-
-
-def eve_helstrom_sum(sifted, eta_x, eta_p, doubled_exponent):
-    """Eve's Helstrom error summed over the sifted bits."""
-    return float(np.sum(np.concatenate([
-        security.helstrom_error(security.eve_overlap(
-            sifted.abs_v_a[sifted.quad == qi], eta, doubled_exponent))
-        for qi, eta in ((0, eta_x), (1, eta_p))
-    ])))
 
 
 MIN_POINTS_PER_BAND = 100
 
 
 class BandSlices:
-    """Bits grouped by (quadrature, band) with one stable sort.
+    """Bits grouped by (quadrature, band) with one stable sort per half.
 
-    ``quad`` is the quadrature of every bit.  ``values[order]`` puts every
-    band in one contiguous slice that keeps the bits' original order;
-    iterating yields (quad, band, slice) with the x bands first, each
-    quadrature from band 0 up.
+    ``values[order]`` puts every band in one contiguous slice that keeps the
+    bits' original order; iterating yields (quad, band, slice) with the x
+    bands first, each quadrature from band 0 up.
     """
 
-    def __init__(self, quad, band_idx, n_bands):
-        key = quad.astype(np.int64) * n_bands + band_idx
-        self.quad = quad
+    def __init__(self, n_x, band_idx, n_bands):
+        self.n_x = n_x
         self.n_bands = n_bands
-        self.order = np.argsort(key, kind="stable")
-        self.stops = np.cumsum(np.bincount(key, minlength=2 * n_bands))
+        cut = halves(n_x, len(band_idx))
+        self.order = np.concatenate([
+            s.start + np.argsort(band_idx[s], kind="stable") for s, _ in cut])
+        self.stops = np.cumsum(np.concatenate([
+            np.bincount(band_idx[s], minlength=n_bands) for s, _ in cut]))
 
     def __getitem__(self, quad_band):
         quad, band = quad_band
@@ -179,7 +195,7 @@ class BicPartition:
 
     n_bands: int
     boundaries: dict
-    band_idx: np.ndarray
+    band_idx: np.ndarray      # uint8
     calibration: np.ndarray | None
     n_good: np.ndarray
     n_error: np.ndarray
@@ -194,47 +210,43 @@ class BicPartition:
     def band_of(self, sifted, eta_x, eta_p):
         """Band index per sifted bit (0 = lowest error)."""
         return _assign(self.boundaries, self.n_bands,
-                       band_statistic(sifted, eta_x, eta_p), sifted.quad)
+                       band_statistic(sifted, eta_x, eta_p), sifted.n_x)
 
-    def tally(self, quad, errors):
+    def tally(self, n_x, errors):
         """Count good and erroneous bits per band over the calibration
-        subset, given the quadrature and error flag of every bit the
-        partition was built on."""
-        key = quad.astype(np.int64) * self.n_bands + self.band_idx
-        if self.calibration is not None:
-            key, errors = key[self.calibration], errors[self.calibration]
-        shape = (2, self.n_bands)
-        total = np.bincount(key, minlength=2 * self.n_bands).reshape(shape)
-        self.n_error = np.bincount(
-            key[errors], minlength=2 * self.n_bands
-        ).reshape(shape).astype(float)
-        self.n_good = total - self.n_error
+        subset, given the error flag of every bit it was built on."""
+        for s, qi in halves(n_x, len(errors)):
+            idx, err = self.band_idx[s], errors[s]
+            if self.calibration is not None:
+                idx, err = idx[self.calibration[s]], err[self.calibration[s]]
+            self.n_error[qi] = np.bincount(idx[err], minlength=self.n_bands)
+            self.n_good[qi] = np.bincount(idx, minlength=self.n_bands) \
+                - self.n_error[qi]
 
 
-def _assign(boundaries, n_bands, u, quad):
+def _assign(boundaries, n_bands, u, n_x):
     """Band index per bit: one searchsorted per quadrature."""
-    out = np.empty(len(u), dtype=np.int64)
-    for qi, name in enumerate(QUADRATURES):
-        sel = quad == qi
-        raw = np.searchsorted(boundaries[name][1:-1], u[sel], side="right")
-        out[sel] = n_bands - 1 - raw
+    out = np.empty(len(u), dtype=np.uint8)
+    for s, qi in halves(n_x, len(u)):
+        raw = np.searchsorted(boundaries[QUADRATURES[qi]][1:-1], u[s],
+                              side="right")
+        out[s] = n_bands - 1 - raw
     return out
 
 
-def build_partition(sifted, eta_x, eta_p, n_bands=10, calibration_mask=None):
-    """Quantile-band the sifted bits so each band of the calibration subset
-    (all bits by default) holds an equal count (+-1) per quadrature, assign
-    every bit its band, and tally the calibration subset's good/error
-    counts when Alice's bits are known."""
-    if n_bands < 1:
-        raise InvalidConfigError(f"n_bands={n_bands} must be >= 1")
-    u = band_statistic(sifted, eta_x, eta_p)
+def build_partition(sifted, n_bands=10, calibration_mask=None):
+    """Quantile-band the sifted bits on their ``u`` so each band of the
+    calibration subset (all bits by default) holds an equal count (+-1) per
+    quadrature, assign every bit its band, and tally the calibration
+    subset's good/error counts when Alice's bits are known."""
+    if not 1 <= n_bands <= 255:
+        raise InvalidConfigError(f"n_bands={n_bands} must be in [1, 255]")
     boundaries = {}
-    for qi, quad in enumerate(QUADRATURES):
-        sel = sifted.quad == qi
+    for s, qi in halves(sifted.n_x, len(sifted)):
+        uq = sifted.u[s]
         if calibration_mask is not None:
-            sel &= calibration_mask
-        uq = u[sel]
+            uq = uq[calibration_mask[s]]
+        quad = QUADRATURES[qi]
         if len(uq) < n_bands * MIN_POINTS_PER_BAND:
             raise InsufficientDataError(
                 f"quadrature {quad}: {len(uq)} points < "
@@ -245,25 +257,25 @@ def build_partition(sifted, eta_x, eta_p, n_bands=10, calibration_mask=None):
         if np.any(np.diff(edges[:-1]) < 0):
             raise InvalidConfigError("band boundaries not increasing")
         boundaries[quad] = edges
-    partition = BicPartition(n_bands, boundaries,
-                             _assign(boundaries, n_bands, u, sifted.quad),
-                             calibration_mask, np.zeros((2, n_bands)),
-                             np.zeros((2, n_bands)))
+    partition = BicPartition(
+        n_bands, boundaries, _assign(boundaries, n_bands, sifted.u, sifted.n_x),
+        calibration_mask, np.zeros((2, n_bands)), np.zeros((2, n_bands)))
     if sifted.alice_bit is not None:
-        partition.tally(sifted.quad, sifted.alice_bit != sifted.bob_bit)
+        partition.tally(sifted.n_x, sifted.alice_bit != sifted.bob_bit)
     return partition
 
 
 @dataclass
 class PostselectResult:
     mask: np.ndarray          # keep flag per sifted bit
-    kept: SiftedData
+    kept: SiftedData          # the kept bits, with their u
+    eve_info: np.ndarray      # Eve's information bound per kept bit
     partition: BicPartition   # built on the kept bits
     slices: BandSlices        # the kept bits grouped by band
     report_post: security.InfoReport | None
-    keep_fraction: float
-    n_flip: int | None        # tallies over all sifted bits: sign flips
-    eve_error_sum: float      # (None if unknown) and Eve's Helstrom error
+    n_flip: int | None        # sign flips over all sifted bits (None if
+    eve_error_sum: float      # unknown); Eve's Helstrom error summed over
+    eve_error_kept: float     # all sifted bits, and over the kept bits
 
 
 def postselect(sifted, params, n_bands=10, doubled_exponent=False,
@@ -281,40 +293,43 @@ def postselect(sifted, params, n_bands=10, doubled_exponent=False,
     tallies, on the kept part of that subset instead.
     """
     eta_x, eta_p = params.eta("x"), params.eta("p")
-    masks, kept = [], []
-    n_flip, eve_sum = 0, 0.0
+    masks, kept, eve_info = [], [], []
+    n_flip, eve_sum, eve_kept = 0, 0.0, 0.0
     for block in [sifted] if isinstance(sifted, SiftedData) else sifted:
         masks.append(keep_mask(block, eta_x, eta_p, doubled_exponent))
+        # Eve's Helstrom error is (1 - q) / 2 at her bias q
+        eve_sum += 0.5 * float(np.sum(1.0 - block.eve_q))
+        eve_q = block.eve_q[masks[-1]]
+        eve_kept += 0.5 * float(np.sum(1.0 - eve_q))
+        eve_info.append(security.capacity_from_bias(eve_q))
         kept.append(block.subset(masks[-1]))
-        eve_sum += eve_helstrom_sum(block, eta_x, eta_p, doubled_exponent)
         if block.alice_bit is not None:
             n_flip += int(np.count_nonzero(block.alice_bit != block.bob_bit))
     mask = np.concatenate(masks)
     kept = SiftedData.concat(kept)
+    eve_info = np.concatenate(eve_info)
     partition = build_partition(
-        kept, eta_x, eta_p, n_bands,
+        kept, n_bands,
         None if calibration_mask is None else calibration_mask[mask],
     )
-    slices = BandSlices(kept.quad, partition.band_idx, n_bands)
-    report_post = None
-    if kept.alice_bit is not None:
-        report_post = _empirical_report(kept, slices, params,
-                                        len(mask) / 2.0, doubled_exponent)
-    return PostselectResult(mask, kept, partition, slices, report_post,
-                            len(kept) / len(mask),
+    slices = BandSlices(kept.n_x, partition.band_idx, n_bands)
+    report_post = None if kept.alice_bit is None else _empirical_report(
+        kept, slices, eve_info, len(mask) / 2.0)
+    return PostselectResult(mask, kept, eve_info, partition, slices,
+                            report_post,
                             None if kept.alice_bit is None else n_flip,
-                            eve_sum)
+                            eve_sum, eve_kept)
 
 
-def _empirical_report(kept, slices, params, n_symbols, doubled_exponent):
+def _empirical_report(kept, slices, eve_info, n_symbols):
     """Per-symbol net information of the kept bits, band by band.
 
     Bob's term is the banded capacity at the empirical error rates; Eve's is
-    the empirical mean of her bound over the kept points (the Monte-Carlo
-    estimate of the band integral in the net-information formula).
+    the empirical mean of her bound ``eve_info`` over the kept points (the
+    Monte-Carlo estimate of the band integral in the net-information
+    formula).
     """
-    iae = eve_information_bits(kept.quad, kept.abs_v_a, params.eta("x"),
-                               params.eta("p"), doubled_exponent)[slices.order]
+    iae = eve_info[slices.order]
     errors = (kept.alice_bit != kept.bob_bit)[slices.order]
     per_bic = []
     i_ab = 0.0
@@ -335,11 +350,12 @@ def _empirical_report(kept, slices, params, n_symbols, doubled_exponent):
 
 def write_kept_csv(path, kept, band_idx):
     """Audit export of the kept bits."""
+    quad = kept.quad
     with open(path, "w") as fh:
         fh.write("quadrature,band,alice_bit,bob_bit,abs_v_a,v_b\n")
         for i in range(len(kept)):
             fh.write(
                 "%s,%d,%d,%d,%.17g,%.17g\n"
-                % ("xp"[kept.quad[i]], band_idx[i], kept.alice_bit[i],
+                % ("xp"[quad[i]], band_idx[i], kept.alice_bit[i],
                    kept.bob_bit[i], kept.abs_v_a[i], kept.v_b[i])
             )

@@ -149,15 +149,6 @@ class ChannelEstimate:
     excess_noise_p_se: float
     n_pairs: int
 
-    def to_params(self, vacuum_var=VACUUM_VAR):
-        return ChannelParams(
-            min(max(self.eta_x, 0.0), 1.0),
-            min(max(self.eta_p, 0.0), 1.0),
-            self.var_mod_x,
-            self.var_mod_p,
-            vacuum_var,
-        )
-
     def eta(self, quad):
         return self.eta_x if quad == "x" else self.eta_p
 

@@ -244,7 +244,7 @@ class BandPlan:
         out = [struct.pack("<dd", self.eta_x, self.eta_p),
                wire.pack_bits(self.keep.astype(np.uint8)),
                struct.pack("<Q", len(self.band_idx)),
-               self.band_idx.astype(np.uint8).tobytes(),
+               self.band_idx.tobytes(),
                struct.pack("<I", self.n_bands),
                wire.pack_floats(self.boundaries_x),
                wire.pack_floats(self.boundaries_p)]
@@ -297,26 +297,22 @@ class BandPlan:
                  for i in range(0, len(raw), 2)]
         if set(order) != set(p_pred):
             raise ProtocolError("processing order is not a band permutation")
-        quad_kept = np.repeat(np.array([0, 1], np.uint8), n_sift // 2)[keep]
+        n_x = int(np.count_nonzero(keep[:n_sift // 2]))
         return cls(eta_x, eta_p, keep, band_idx, n_bands, bx, bp, p_pred,
-                   repeat_ns, order,
-                   bands.BandSlices(quad_kept, band_idx, n_bands))
+                   repeat_ns, order, bands.BandSlices(n_x, band_idx, n_bands))
 
 
 def band_plan(ps, est, config):
     """The receiver's plan from his post-selection: keep mask, partition
     boundaries and band index, predicted errors, repeat lengths and order."""
-    eta_x, eta_p = est.eta("x"), est.eta("p")
-    p_pred = predicted_band_errors(
-        bands.band_statistic(ps.kept, eta_x, eta_p), ps.slices
-    )
+    p_pred = predicted_band_errors(ps.kept.u, ps.slices)
     repeat_ns = {
         key: reconcile.choose_repeat_n(p, config.ad_target, config.ad_cap)
         for key, p in p_pred.items()
     }
     part = ps.partition
     return BandPlan(
-        eta_x, eta_p, ps.mask, part.band_idx.astype(np.uint8), part.n_bands,
+        est.eta("x"), est.eta("p"), ps.mask, part.band_idx, part.n_bands,
         part.boundaries["x"], part.boundaries["p"], p_pred, repeat_ns,
         band_processing_order(p_pred), ps.slices,
     )
@@ -354,12 +350,10 @@ def eve_band_bounds(iae, slices):
     return {key: float(p) for key, p in zip(means, bounds)}
 
 
-def band_records(plan, abs_v_a, doubled_exponent):
-    """The band records both parties derive from the plan and the kept
-    magnitudes, in processing order."""
-    iae = bands.eve_information_bits(plan.slices.quad, abs_v_a, plan.eta_x,
-                                     plan.eta_p, doubled_exponent)
-    eve_bounds = eve_band_bounds(iae, plan.slices)
+def band_records(plan, eve_info):
+    """The band records both parties derive from the plan and Eve's
+    information bound per kept bit, in processing order."""
+    eve_bounds = eve_band_bounds(eve_info, plan.slices)
     records = []
     for key in plan.order:
         s = plan.slices[key]
@@ -475,7 +469,8 @@ def run_pipeline(config):
                           calibration_mask(config, symbol_mask))
     kept = ps.kept
     plan = band_plan(ps, est, config)
-    records = band_records(plan, kept.abs_v_a, config.doubled_exponent)
+    records = band_records(plan, ps.eve_info)
+    ps.kept.u = ps.eve_info = None  # free the carried arrays
     set_p_emp(records, ps.partition)
 
     def distill(rec, bits):
@@ -498,7 +493,7 @@ def run_pipeline(config):
     )
     confirmed = privamp.key_confirm(alice_key, bob_key, confirm_seed_value(seed))
 
-    report = build_report(config, ps, records, est, t0)
+    report = build_report(config, ps, records, t0)
     return PipelineResult(
         report, records, est, ps, alice_key, bob_key,
         privamp.pack_key(bob_key), confirmed, kept,
@@ -509,7 +504,7 @@ def _h(p):
     return float(security.binary_entropy(p))
 
 
-def build_report(config, ps, records, est, t0):
+def build_report(config, ps, records, t0):
     """Stage table in the protocol's processing order.
 
     Each row's net information is h(p_Eve) - h(p_Bob) of the stage's
@@ -531,9 +526,7 @@ def build_report(config, ps, records, est, t0):
     n_kept = len(kept)
     post_rate = raw_rate * n_kept / n_sift
     kept_flip = float(np.mean(kept.alice_bit != kept.bob_bit)) if n_kept else 0.0
-    eve_post = bands.eve_helstrom_sum(kept, est.eta("x"), est.eta("p"),
-                                      config.doubled_exponent) / n_kept \
-        if n_kept else 0.5
+    eve_post = ps.eve_error_kept / n_kept if n_kept else 0.5
     rows.append(StageRow("post_selected", post_rate, kept_flip, eve_post,
                          _h(eve_post) - _h(kept_flip)))
 

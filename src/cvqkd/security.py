@@ -85,8 +85,8 @@ def helstrom_error(z):
                                 * (z > 0.0) + (z <= 0.0)))
 
 
-def _capacity_from_q(q):
-    # 1 - h((1-q)/2) evaluated stably via log1p; q in [0, 1].
+def capacity_from_bias(q):
+    """1 - h((1 - q) / 2) for a bias q in [0, 1], stable via log1p."""
     q = np.asarray(q, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         term = 0.5 * ((1.0 + q) * np.log1p(q)
@@ -106,7 +106,7 @@ def eve_information_quadrature(abs_v_a, eta, doubled_exponent=False):
     Equals the capacity 1 - h(p) at her Helstrom error probability
     p = (1 - sqrt(1 - z^2)) / 2.
     """
-    return _capacity_from_q(eve_bias(abs_v_a, eta, doubled_exponent))
+    return capacity_from_bias(eve_bias(abs_v_a, eta, doubled_exponent))
 
 
 def _expit(x):
@@ -135,7 +135,7 @@ def error_probability_u(u):
 def bob_capacity_u(u):
     """Bob's pointwise sign-channel capacity 1 - h(P(u)), in bits."""
     q = np.tanh(2.0 * np.asarray(u, dtype=float))  # 1 - 2 P(u)
-    return _capacity_from_q(q)
+    return capacity_from_bias(q)
 
 
 def pointwise_net_information(abs_v_a, v_b, eta, doubled_exponent=False):
@@ -150,7 +150,7 @@ def pointwise_net_information(abs_v_a, v_b, eta, doubled_exponent=False):
 def keep_threshold_u(abs_v_a, eta, doubled_exponent=False):
     """The u at which the net information density turns positive.
 
-    Both capacities are ``_capacity_from_q``, which rises strictly, of
+    Both capacities are ``capacity_from_bias``, which rises strictly, of
     Bob's bias tanh(2u) and Eve's bias q; so the density is positive iff
     tanh(2u) > q, i.e. u > artanh(q) / 2.  Since (1 + q) / (1 - q) =
     (1 + q)^2 / z^2 this is log1p(q) / 2 - ln(z) / 2, which keeps its

@@ -81,10 +81,7 @@ class Transport:
         """Send ABORT (if the peer can still hear it); returns the
         ``ProtocolError`` for the caller to raise."""
         try:
-            self.writer.write(wire.encode_frame(
-                MsgType.ABORT, AUTH_TAG + reason.encode()
-            ))
-            self.writer.flush()
+            self.send(MsgType.ABORT, reason.encode())
         except (OSError, ValueError):
             pass
         return ProtocolError(reason)
@@ -225,8 +222,9 @@ def run_alice(reader, writer, config, sink=None):
     del symbols
     plan = _recv_plan(t, len(v_a), config.n_bands)
     v_a = v_a[plan.keep]
-    records = pipeline.band_records(plan, np.abs(v_a),
-                                    config.doubled_exponent)
+    records = pipeline.band_records(plan, bands.eve_information_bits(
+        plan.slices.n_x, np.abs(v_a), plan.eta_x, plan.eta_p,
+        config.doubled_exponent))
 
     def distill(rec, bits):
         c, masks = reconcile.alice_ad_masks(
@@ -341,12 +339,12 @@ def run_bob(reader, writer, sink=None):
                           symbol_mask, signed=False),
         est, config.n_bands, config.doubled_exponent,
         pipeline.calibration_mask(config, symbol_mask))
-    got = np.concatenate([meas.x_b[symbol_mask], meas.p_b[symbol_mask]]) > 0
+    got = np.concatenate([v[symbol_mask] > 0 for v in (meas.x_b, meas.p_b)])
     del abs_x, abs_p, meas
     plan = pipeline.band_plan(ps, est, config)
     t.send(MsgType.KEEP_MASK, plan.pack())
-    records = pipeline.band_records(plan, ps.kept.abs_v_a,
-                                    config.doubled_exponent)
+    records = pipeline.band_records(plan, ps.eve_info)
+    ps.kept.u = ps.eve_info = None  # free the carried arrays
 
     def distill(rec, bits):
         _, payload = t.recv(MsgType.AD_MASKS)
@@ -392,9 +390,9 @@ def run_bob(reader, writer, sink=None):
     ps.n_flip = int(np.count_nonzero(sent != got))
     kept = ps.kept
     kept.alice_bit = sent[ps.mask].astype(np.uint8)
-    ps.partition.tally(kept.quad, kept.alice_bit != kept.bob_bit)
+    ps.partition.tally(kept.n_x, kept.alice_bit != kept.bob_bit)
     pipeline.set_p_emp(records, ps.partition)
-    report = pipeline.build_report(config, ps, records, est, time.monotonic())
+    report = pipeline.build_report(config, ps, records, time.monotonic())
     return SessionResult(bob_key, privamp.pack_key(bob_key), confirmed,
                          records, t.transcript, config, report)
 

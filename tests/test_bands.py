@@ -6,6 +6,8 @@ from cvqkd.bands import (
     SiftedData,
     band_statistic,
     build_partition,
+    eve_information_bits,
+    halves,
     keep_mask,
     postselect,
     sift,
@@ -23,6 +25,13 @@ def _sifted(loss=0.54, var_mod=4.0, n=30_000, seed=3):
     sym = generate_symbols(n, params, seed)
     meas, _ = transmit_and_measure(sym, params, seed + 1)
     return sift(sym, meas), params
+
+
+def _scored(n):
+    """Sifted bits with their u at eta = 0.46, ready to partition."""
+    s, _ = _sifted(n=n)
+    s.u = band_statistic(s, 0.46, 0.46)
+    return s
 
 
 def test_sift_signs_and_magnitudes():
@@ -65,8 +74,8 @@ def test_keep_mask_matches_pointwise_rule():
 
 
 def test_build_partition_equal_counts():
-    s, params = _sifted()
-    part = build_partition(s, 0.46, 0.46, n_bands=10)
+    s = _scored(30_000)
+    part = build_partition(s, n_bands=10)
     counts = part.n_good + part.n_error
     for qi in (0, 1):
         n_q = np.count_nonzero(s.quad == qi)
@@ -79,8 +88,8 @@ def test_build_partition_equal_counts():
 
 
 def test_band_of_consistent_with_tallies():
-    s, _ = _sifted(n=20_000)
-    part = build_partition(s, 0.46, 0.46, n_bands=8)
+    s = _scored(20_000)
+    part = build_partition(s, n_bands=8)
     idx = part.band_of(s, 0.46, 0.46)
     errors = s.alice_bit != s.bob_bit
     for qi in (0, 1):
@@ -91,18 +100,19 @@ def test_band_of_consistent_with_tallies():
 
 
 def test_build_partition_requires_enough_points():
-    s, _ = _sifted(n=300)
+    s = _scored(300)
     with pytest.raises(InsufficientDataError):
-        build_partition(s, 0.46, 0.46, n_bands=10)
-    with pytest.raises(InvalidConfigError):
-        build_partition(s, 0.46, 0.46, n_bands=0)
+        build_partition(s, n_bands=10)
+    for n_bands in (0, 256):
+        with pytest.raises(InvalidConfigError):
+            build_partition(s, n_bands=n_bands)
 
 
 def test_postselect_turns_net_information_positive():
     s, params = _sifted(loss=0.54, n=60_000)
     res = postselect(s, params, n_bands=10)
     assert res.report_post.delta_i > 0
-    assert 0 < res.keep_fraction < 1
+    assert 0 < len(res.kept) < len(res.mask)
     assert len(res.kept) == res.mask.sum()
     # post-selection keeps high-u points
     u = band_statistic(s, 0.46, 0.46)
@@ -147,14 +157,14 @@ def test_blocked_pass_matches_whole_array_oracle(holdout):
     sifted_pos = np.tile(symbol_mask, 2)
     va = np.concatenate([sym.x_a, sym.p_a])[sifted_pos]
     vb = np.concatenate([meas.x_b, meas.p_b])[sifted_pos]
-    whole = SiftedData(np.repeat(np.array([0, 1], np.uint8), len(va) // 2),
+    whole = SiftedData(len(va) // 2,
                        (va > 0).astype(np.uint8), (vb > 0).astype(np.uint8),
                        np.abs(va), vb)
     mask = keep_mask(whole, eta, eta)
     kept = whole.subset(mask)
     eve_sum = sum(np.sum(security.helstrom_error(security.eve_overlap(
         whole.abs_v_a[whole.quad == qi], eta))) for qi in (0, 1))
-    part = build_partition(kept, eta, eta, 4,
+    part = build_partition(kept, 4,
                            None if calib is None else calib[mask])
     n_x = len(va) // 2
     empty = slice(n_x - np.count_nonzero(symbol_mask[SYMBOL_BLOCK:]),
@@ -179,3 +189,27 @@ def test_blocked_pass_matches_whole_array_oracle(holdout):
     assert np.array_equal(view.mask, mask)
     assert view.kept.alice_bit is None and view.n_flip is None
     assert view.eve_error_sum == res.eve_error_sum
+
+
+@pytest.mark.parametrize("holdout", [False, True])
+def test_carried_arrays_match_the_kept_bits(holdout):
+    # the u, Eve information and Helstrom tally that the one pass carries
+    # equal their values recomputed over the kept bits, at unequal eta
+    config = PipelineConfig(loss=0.54, var_mod=4.0, n_bands=4, seed=5,
+                            n_symbols=SYMBOL_BLOCK + 5000, holdout=holdout)
+    params = ChannelParams(0.43, 0.49, 4.0, 4.0)
+    sym = generate_symbols(config.n_symbols, params, 6)
+    meas = measure(sym, params, 7)
+    _, symbol_mask = sift_layout(config)
+    res = postselect(sift_blocks(sym, meas, symbol_mask), params, 4,
+                     calibration_mask=calibration_mask(config, symbol_mask))
+    kept = res.kept
+    assert 0 < kept.n_x < len(kept)
+    assert np.array_equal(kept.u, band_statistic(kept, 0.43, 0.49))
+    assert np.array_equal(res.eve_info, eve_information_bits(
+        kept.n_x, kept.abs_v_a, 0.43, 0.49, False))
+    eve_kept = sum(np.sum(security.helstrom_error(security.eve_overlap(
+        kept.abs_v_a[s], (0.43, 0.49)[qi])))
+        for s, qi in halves(kept.n_x, len(kept)))
+    assert res.eve_error_kept == pytest.approx(eve_kept, rel=1e-12)
+    assert kept.eve_q is None and res.partition.band_idx.dtype == np.uint8

@@ -70,8 +70,6 @@ def test_estimate_channel_recovers_parameters():
     assert est.eta_p == pytest.approx(0.46, abs=4 * est.eta_p_se)
     assert est.var_mod_x == pytest.approx(4.0, rel=0.03)
     assert est.excess_noise_x == pytest.approx(0.0, abs=4 * est.excess_noise_x_se)
-    back = est.to_params()
-    assert back.eta("x") == pytest.approx(0.46, abs=0.02)
 
 
 def test_estimate_channel_needs_enough_pairs():

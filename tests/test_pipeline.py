@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvqkd.errors import InvalidConfigError
+from cvqkd.errors import InvalidConfigError, VerificationFailedError
 from cvqkd.pipeline import (
     PipelineConfig,
     ledger_text,
@@ -123,6 +123,15 @@ def test_keys_and_ledgers_pinned(holdout):
     got = (hashlib.sha256(res.key_bytes).hexdigest(),
            hashlib.sha256(ledger_text(res.records).encode()).hexdigest())
     assert got == PINS[holdout]
+
+
+@pytest.mark.xfail(raises=VerificationFailedError, strict=True,
+                   reason="Cascade fails in bands that can never yield key")
+@pytest.mark.parametrize("seed", [13, 4242])
+def test_pipeline_90_known_aborts(seed):
+    res = run_pipeline(PipelineConfig(loss=0.9, var_mod=0.51,
+                                      n_symbols=1_000_000, seed=seed))
+    assert res.confirmed
 
 
 def test_holdout_calibration_runs():

@@ -78,7 +78,7 @@ def test_session_result_carries_the_config(completed_session):
 
 
 def test_session_peak_memory_per_symbol():
-    """Both roles together, at 200k symbols: ~157 B/symbol, against 288
+    """Both roles together, at 200k symbols: ~143 B/symbol, against 288
     while the transcripts kept whole bodies and the serve side kept the
     float arrays of every symbol to the end of the run."""
     n = 200_000
@@ -252,6 +252,16 @@ def test_bad_hello_is_rejected_with_abort(hello):
     with pytest.raises(ProtocolError):
         session.run_bob(_frames((MsgType.HELLO, hello)), writer)
     assert _sent_types(writer.getvalue()) == [MsgType.ABORT]
+
+
+def test_abort_is_recorded():
+    sink = io.StringIO()
+    with pytest.raises(ProtocolError):
+        session.run_bob(_frames((MsgType.HELLO, b"loss=abc")), io.BytesIO(),
+                        sink)
+    lines = sink.getvalue().splitlines()
+    assert [line.split()[:2] for line in lines] == [["rx", "HELLO"],
+                                                   ["tx", "ABORT"]]
 
 
 def test_short_plan_is_rejected_with_abort():
