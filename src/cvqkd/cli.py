@@ -22,6 +22,9 @@ from . import bands, channel, pipeline, security, session
 from .errors import CvqkdError, InvalidConfigError
 from .rng import stream
 
+# the longest a session side waits on its peer's next bytes
+SOCKET_TIMEOUT_S = 120.0
+
 
 @contextlib.contextmanager
 def atomic_open(path, mode="w"):
@@ -226,6 +229,7 @@ def cmd_serve(args):
     print(f"listening on {host}:{server.getsockname()[1]}", flush=True)
     conn, peer = server.accept()
     server.close()
+    conn.settimeout(SOCKET_TIMEOUT_S)
     print(f"session from {peer[0]}:{peer[1]}")
     with conn, conn.makefile("rb") as rd, conn.makefile("wb") as wr, \
             _transcript_sink(args) as sink:
@@ -241,7 +245,8 @@ def cmd_serve(args):
 def cmd_connect(args):
     config = build_config(args)
     host, port = parse_endpoint(args.peer)
-    with socket.create_connection((host, port)) as conn, \
+    with socket.create_connection((host, port),
+                                  timeout=SOCKET_TIMEOUT_S) as conn, \
             conn.makefile("rb") as rd, conn.makefile("wb") as wr, \
             _transcript_sink(args) as sink:
         result = session.run_alice(rd, wr, config, sink)

@@ -13,6 +13,7 @@ the pipeline.  Banded per-symbol net information (the post-selection
 target function) is reported separately by the post-selection step.
 """
 
+import functools
 import struct
 import time
 from dataclasses import dataclass, field, fields
@@ -387,27 +388,51 @@ def confirm_seed_value(seed):
     return int(stream(seed, "protocol", "confirm").integers(1 << 62))
 
 
-def band_step(rec, bits, distill, correct):
-    """One band's advantage distillation and Cascade, with the ledger
-    bookkeeping every run mode shares.
+def band_steps(records, strings, config, distill, correct):
+    """Advantage distillation and Cascade of every band, each protocol step
+    once for all bands, with the ledger bookkeeping every run mode shares.
 
-    ``distill(rec, bits)`` runs the repeat-code exchange and returns the
-    distilled bits and the number of announced mask bits;
-    ``correct(rec, bits, beta_hat)`` runs Cascade and returns the
-    reconciled bits and the number of disclosed bits.  ``bits`` is one
-    party's string, or, in the in-process run, both parties' strings as the
-    two rows of one array.
+    ``strings`` holds per record one party's string, or in the in-process
+    run both parties' strings as two rows.  ``distill(records, strings)``
+    returns (distilled bits, mask bits) per band with a repeat length above
+    1; ``correct(bands, passes)`` returns (reconciled bits, disclosed bits)
+    per (bits, beta_hat, perm_stream_factory) band.
     """
-    if rec.repeat_n > 1:
-        bits, rec.ad_mask_bits = distill(rec, bits)
-    rec.n_distilled = bits.shape[-1]
-    rec.bob_error_ad = float(reconcile.ad_error(rec.p_pred, rec.repeat_n))
-    rec.eve_error_ad = float(reconcile.eve_ad_error(rec.eve_error,
-                                                    rec.repeat_n))
-    if rec.n_distilled > 0:
-        bits, rec.cascade_bits = correct(rec, bits,
-                                         max(rec.bob_error_ad, 1e-3))
-    return bits
+    ad = [i for i, rec in enumerate(records) if rec.repeat_n > 1]
+    if ad:
+        distilled = distill([records[i] for i in ad], [strings[i] for i in ad])
+        for i, (bits, mask_bits) in zip(ad, distilled):
+            strings[i], records[i].ad_mask_bits = bits, mask_bits
+    for rec, bits in zip(records, strings):
+        rec.n_distilled = bits.shape[-1]
+        rec.bob_error_ad = float(reconcile.ad_error(rec.p_pred, rec.repeat_n))
+        rec.eve_error_ad = float(reconcile.eve_ad_error(rec.eve_error,
+                                                        rec.repeat_n))
+    corrected = correct(
+        [(bits, max(rec.bob_error_ad, 1e-3),
+          cascade_stream_factory(config.seed, rec.quad, rec.band))
+         for rec, bits in zip(records, strings)], config.cascade_passes)
+    for rec, (_, leaked) in zip(records, corrected):
+        rec.cascade_bits = leaked
+    return [bits for bits, _ in corrected]
+
+
+def _local_distill(seed, records, strings):
+    ads = [reconcile.advantage_distill(bits[0], bits[1], rec.repeat_n,
+                                       ad_stream(seed, rec.quad, rec.band))
+           for rec, bits in zip(records, strings)]
+    return [(np.stack([ad.alice_bits, ad.bob_bits]), ad.leaked_bits)
+            for ad in ads]
+
+
+def _local_correct(bands, passes):
+    oracles = [reconcile.ParityOracle(bits[0], factory)
+               for bits, _, factory in bands]
+    results = reconcile.cascade_bands(
+        [(bits[1], beta, factory) for bits, beta, factory in bands],
+        functools.partial(reconcile.answer, oracles, passes), passes)
+    return [(np.stack([oracle.bits, res.bits]), res.leaked_bits)
+            for oracle, res in zip(oracles, results)]
 
 
 def finish_keys(records, parties, config):
@@ -467,27 +492,16 @@ def run_pipeline(config):
     ps = bands.postselect(bands.sift_blocks(symbols, meas, symbol_mask), est,
                           config.n_bands, config.doubled_exponent,
                           calibration_mask(config, symbol_mask))
+    del symbols, meas  # the band steps hold every band's state at once
     kept = ps.kept
     plan = band_plan(ps, est, config)
     records = band_records(plan, ps.eve_info)
     ps.kept.u = ps.eve_info = None  # free the carried arrays
     set_p_emp(records, ps.partition)
 
-    def distill(rec, bits):
-        ad = reconcile.advantage_distill(bits[0], bits[1], rec.repeat_n,
-                                         ad_stream(seed, rec.quad, rec.band))
-        return np.stack([ad.alice_bits, ad.bob_bits]), ad.leaked_bits
-
-    def correct(rec, bits, beta_hat):
-        result, _ = reconcile.cascade(
-            bits[0], bits[1], beta_hat,
-            cascade_stream_factory(seed, rec.quad, rec.band),
-            passes=config.cascade_passes,
-        )
-        return np.stack([bits[0], result.bits]), result.leaked_bits
-
-    both = [band_step(rec, bits, distill, correct) for rec, bits in
-            zip(records, plan.split(np.stack([kept.alice_bit, kept.bob_bit])))]
+    both = band_steps(
+        records, plan.split(np.stack([kept.alice_bit, kept.bob_bit])),
+        config, functools.partial(_local_distill, seed), _local_correct)
     alice_key, bob_key = finish_keys(
         records, ([a for a, _ in both], [b for _, b in both]), config
     )

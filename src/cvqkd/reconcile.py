@@ -1,10 +1,11 @@
 """Advantage distillation and Cascade error correction.
 
-Both protocols are expressed through a parity/mask oracle so the same code
-drives the in-process pipeline (local oracle) and the networked session
-(remote oracle); the disclosed-bit ledger is identical either way.
+Cascade runs every band as a step machine whose requests one exchange per
+step answers: local parity oracles in the in-process pipeline, the wire in
+the networked session; the disclosed-bit ledger is identical either way.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ from .errors import InvalidConfigError, VerificationFailedError
 
 CASCADE_PASSES = 4
 CASCADE_BLOCK_FACTOR = 0.73
+CASCADE_ATTEMPTS = 3
 HASH_BITS = 64
 
 # poly_hash64 reduces modulo P = x^64 + r with r = x^4 + x^3 + x + 1, the
@@ -134,7 +136,7 @@ class ParityOracle:
     ``start`` fixes the per-attempt permutations (derived from a stream the
     querying side derives identically); ``parities`` answers a batch of
     half-open ranges in permuted coordinates and counts every answered bit
-    as disclosed.
+    as disclosed; ``hash64`` ends the attempt.
     """
 
     def __init__(self, bits, perm_stream_factory):
@@ -158,7 +160,27 @@ class ParityOracle:
 
     def hash64(self):
         self.disclosed_bits += HASH_BITS
+        self._prefix = None  # the attempt is over; a retry starts afresh
         return poly_hash64(self.bits)
+
+
+# a Cascade step machine's requests: START (of an attempt; not answered),
+# PARITIES (a (k, 3) query array) and HASH
+START, PARITIES, HASH = 0, 1, 2
+
+
+def answer(oracles, passes, requests):
+    """{band: answer} to one step's (band, kind, argument) requests, each
+    answered by that band's oracle."""
+    answers = {}
+    for band, kind, arg in requests:
+        if kind == START:
+            oracles[band].start(arg, passes)
+        elif kind == PARITIES:
+            answers[band] = oracles[band].parities(arg)
+        else:
+            answers[band] = oracles[band].hash64()
+    return answers
 
 
 @dataclass
@@ -173,8 +195,9 @@ def _queries(pi, lo, hi):
     return np.column_stack((np.full(len(lo), pi), lo, hi))
 
 
-def _cascade_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
-    """One Cascade attempt.  Returns (corrected bob bits, corrections).
+def _cascade_attempt(bob, attempt, beta_est, passes, perm_rng):
+    """One Cascade attempt as a step machine: yields its requests and
+    returns (corrected bob bits, corrections).
 
     After the top-level parities of a pass, searches run in waves.  A wave
     takes the lowest pass with a known range (one whose parity Alice has
@@ -185,8 +208,10 @@ def _cascade_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
     """
     n = len(bob)
     k1 = max(2, min(n, math.ceil(CASCADE_BLOCK_FACTOR / max(beta_est, 1e-4))))
-    oracle.start(attempt, passes)
-    perms = [perm_rng.permutation(n) for _ in range(passes)]
+    yield START, attempt
+    # the smallest integer type that holds every position
+    perms = [perm_rng.permutation(n).astype(np.min_scalar_type(n))
+             for _ in range(passes)]
 
     # quadrupling the block size per pass keeps the total parity budget
     # within 1.25 h(beta) even at beta ~ 0.15, where doubling overshoots
@@ -196,7 +221,7 @@ def _cascade_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
     for pi in range(passes):
         lo = np.arange(0, n, block_sizes[pi])
         hi = np.minimum(lo + block_sizes[pi], n)
-        known.append((lo, hi, oracle.parities(_queries(pi, lo, hi))))
+        known.append((lo, hi, (yield PARITIES, _queries(pi, lo, hi))))
         while True:
             for opi in range(pi + 1):
                 pre = _prefix_xor(bob[perms[opi]])
@@ -216,7 +241,7 @@ def _cascade_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
             while len(live := np.flatnonzero(hi_s - lo_s > 1)):
                 lo_l, hi_l = lo_s[live], hi_s[live]
                 mid = (lo_l + hi_l) // 2
-                left = oracle.parities(_queries(opi, lo_l, mid))
+                left = yield PARITIES, _queries(opi, lo_l, mid)
                 right = par_s[live] ^ left
                 new += [(lo_l, mid, left), (mid, hi_l, right)]
                 go_right = left == pre[mid] ^ pre[lo_l]
@@ -229,36 +254,71 @@ def _cascade_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
     return bob, corrections
 
 
-def cascade_correct(bob_bits, oracle, beta_est, perm_stream_factory,
-                    passes=CASCADE_PASSES, max_attempts=3):
-    """Correct Bob's bits toward the oracle's, verifying with a 64-bit hash.
-
-    On verification failure (error estimate too low) the attempt is retried
-    with a doubled estimate and fresh permutations; all disclosed bits from
-    every attempt stay on the ledger.
-    """
+def _cascade_band(bob_bits, beta_est, perm_stream_factory, passes):
+    """One band's Cascade as a step machine: attempts verified by a 64-bit
+    hash, each retry with a doubled estimate and fresh permutations.
+    Returns (bits, attempts, corrections); an empty string needs none."""
     bob = np.asarray(bob_bits, dtype=np.uint8).copy()
-    leaked = 0
+    if not len(bob):
+        return bob, 0, 0
     total_corrected = 0
-    for attempt in range(max_attempts):
-        before = oracle.disclosed_bits
-        perm_rng = perm_stream_factory(attempt)
-        bob, corrected = _cascade_attempt(
-            bob, oracle, attempt, beta_est * 2**attempt, passes, perm_rng
-        )
+    for attempt in range(CASCADE_ATTEMPTS):
+        bob, corrected = yield from _cascade_attempt(
+            bob, attempt, beta_est * 2**attempt, passes,
+            perm_stream_factory(attempt))
         total_corrected += corrected
-        a_hash = oracle.hash64()
-        leaked += oracle.disclosed_bits - before
+        a_hash = yield HASH, None
         if poly_hash64(bob) == a_hash:
-            return CascadeResult(bob, leaked, attempt + 1, total_corrected)
+            return bob, attempt + 1, total_corrected
     raise VerificationFailedError(
-        f"strings still differ after {max_attempts} Cascade attempts "
+        f"strings still differ after {CASCADE_ATTEMPTS} Cascade attempts "
         f"(initial error estimate {beta_est} too low?)"
     )
 
 
+def cascade_bands(bands, exchange, passes=CASCADE_PASSES):
+    """Cascade on the (bob_bits, beta_est, perm_stream_factory) of every
+    band at once, one ``exchange(requests) -> {band: answer}`` per step for
+    the requests of every live band, bands ascending (see ``answer``).
+    Each band's result depends only on its own streams and answers; all
+    its disclosed bits stay on its ledger."""
+    machines = {b: _cascade_band(bits, beta, factory, passes)
+                for b, (bits, beta, factory) in enumerate(bands)}
+    leaked = [0] * len(bands)
+    results = [None] * len(bands)
+    answers = {}
+    while machines:
+        requests = []
+        for b in list(machines):
+            try:
+                kind, arg = machines[b].send(answers.get(b))
+                if kind == START:  # rides in the step of the first parities
+                    requests.append((b, kind, arg))
+                    kind, arg = machines[b].send(None)
+            except StopIteration as stop:
+                bits, attempts, corrected = stop.value
+                results[b] = CascadeResult(bits, leaked[b], attempts,
+                                           corrected)
+                del machines[b]  # frees the band's permutations
+                continue
+            leaked[b] += HASH_BITS if kind == HASH else len(arg)
+            requests.append((b, kind, arg))
+        if requests:
+            answers = exchange(requests)
+    return results
+
+
+def cascade_correct(bob_bits, oracle, beta_est, perm_stream_factory,
+                    passes=CASCADE_PASSES):
+    """Correct Bob's bits toward the oracle's: ``cascade_bands`` on one
+    band."""
+    return cascade_bands([(bob_bits, beta_est, perm_stream_factory)],
+                         functools.partial(answer, [oracle], passes),
+                         passes)[0]
+
+
 def cascade(alice_bits, bob_bits, beta_est, seed_stream_factory,
-            passes=CASCADE_PASSES, max_attempts=3):
+            passes=CASCADE_PASSES):
     """In-process Cascade between two local bit strings.
 
     ``seed_stream_factory(attempt)`` must return a fresh identical stream
@@ -270,7 +330,7 @@ def cascade(alice_bits, bob_bits, beta_est, seed_stream_factory,
         beta_est = min(max(beta_est, 1e-3), 0.49)
     oracle = ParityOracle(alice_bits, seed_stream_factory)
     return cascade_correct(bob_bits, oracle, beta_est, seed_stream_factory,
-                           passes, max_attempts), oracle
+                           passes), oracle
 
 
 def eve_error_after_leak(p_eve, leaked_bits, length):

@@ -19,6 +19,7 @@ here) at the head of its payload, standing in for the authenticated
 classical channel the protocol assumes.
 """
 
+import functools
 import struct
 import time
 from dataclasses import dataclass
@@ -30,8 +31,9 @@ from .errors import ProtocolAbort, ProtocolError, VerificationFailedError
 from .wire import AUTH_TAG, MsgType
 
 
-# a body's tag, Cascade kind byte and u64 count: all the audit reads
-HEAD_BYTES = 25
+# a body's tag, Cascade kind byte and u64 parity and hash counts: all the
+# audit reads
+HEAD_BYTES = 33
 
 
 class Transport:
@@ -57,7 +59,10 @@ class Transport:
         self._record("tx", MsgType(msg_type), body)
 
     def recv(self, *expected):
-        msg_type, body = wire.read_frame(self.reader)
+        try:
+            msg_type, body = wire.read_frame(self.reader)
+        except TimeoutError:
+            raise self.fail("peer silent past the socket timeout") from None
         self._record("rx", msg_type, body)
         if msg_type == MsgType.ABORT:
             raise ProtocolAbort(body[16:].decode("utf-8", "replace"))
@@ -98,99 +103,168 @@ class SessionResult:
     report: pipeline.RunReport | None = None
 
 
-# one query of a kind-1 Cascade batch; PipelineConfig keeps passes <= 255
-_CASCADE_QUERY = np.dtype([("pi", "u1"), ("lo", "<u8"), ("hi", "<u8")])
+# a step's parity range; a band is a record's index (at most 2 * 255), and
+# PipelineConfig keeps passes <= 255
+_CASCADE_QUERY = np.dtype([("band", "<u2"), ("pi", "u1"), ("lo", "<u8"),
+                           ("hi", "<u8")])
+# a CASCADE_REQ's kind byte and its parity and hash counts (all the audit
+# reads); a step without requests ends Cascade
+_STEP_HEAD, _STEP = struct.Struct("<BQQ"), 1
 
 
-class _RemoteOracle:
-    """Parity-oracle proxy: forwards Cascade queries over the wire."""
-
-    def __init__(self, transport):
-        self.transport = transport
-        self.disclosed_bits = 0
-
-    def start(self, attempt, passes):
-        self.transport.send(MsgType.CASCADE_REQ,
-                            b"\x00" + struct.pack("<II", attempt, passes))
-        self.transport.recv(MsgType.CASCADE_RESP)
-
-    def parities(self, queries):
-        packed = np.empty(len(queries), _CASCADE_QUERY)
-        packed["pi"], packed["lo"], packed["hi"] = np.asarray(queries).T
-        self.transport.send(MsgType.CASCADE_REQ, b"\x01" + struct.pack(
-            "<Q", len(packed)) + packed.tobytes())
-        _, payload = self.transport.recv(MsgType.CASCADE_RESP)
-        bits, _ = self.transport.decode(wire.unpack_bits, payload, 0,
-                                        len(queries))
-        self.disclosed_bits += len(queries)
-        return bits
-
-    def hash64(self):
-        self.transport.send(MsgType.CASCADE_REQ, b"\x02")
-        _, payload = self.transport.recv(MsgType.CASCADE_RESP)
-        if len(payload) != 8:
-            raise self.transport.fail(
-                f"Cascade hash of {len(payload)} bytes, expected 8")
-        self.disclosed_bits += reconcile.HASH_BITS
-        return struct.unpack("<Q", payload)[0]
-
-    def done(self, ok=True):
-        self.transport.send(MsgType.CASCADE_REQ, bytes([3, ok]))
-        self.transport.recv(MsgType.CASCADE_RESP)
-
-
-def _cascade_request(payload, n, passes, started):
-    """(kind, argument) of one Cascade request, checked against the pass
-    count and the length ``n`` of the answering side's string."""
-    (kind,) = wire.unpack_from("<B", payload)
-    if kind == 0:
-        attempt, got = wire.unpack_from("<II", payload, 1)
-        if got != passes:
-            raise ProtocolError(f"Cascade start with {got} passes, "
-                                f"expected {passes}")
-        return kind, attempt
-    if kind == 1:
-        (count,) = wire.unpack_from("<Q", payload, 1)
-        q = np.frombuffer(wire.take(payload, 9, _CASCADE_QUERY.itemsize
-                                    * count), _CASCADE_QUERY)
-        if not started:
-            raise ProtocolError("Cascade parity query before start")
-        bad = np.flatnonzero((q["pi"] >= passes) | (q["lo"] >= q["hi"])
-                             | (q["hi"] > n))
-        if len(bad):
-            pi, lo, hi = q[bad[0]].tolist()
-            raise ProtocolError(
-                f"Cascade query (pass {pi}, bits {lo}:{hi}) outside "
-                f"{passes} passes of {n} bits")
-        return kind, np.column_stack((q["pi"], q["lo"], q["hi"]))
-    if kind == 2:
-        return kind, None
-    if kind == 3:
-        return kind, bool(wire.unpack_from("<B", payload, 1)[0])
-    raise ProtocolError(f"bad cascade kind {kind}")
-
-
-def _serve_cascade(transport, oracle, passes):
-    """Answer Cascade queries until the querying side signals completion;
-    returns its success flag."""
-    started = False
-    while True:
-        _, payload = transport.recv(MsgType.CASCADE_REQ)
-        kind, arg = transport.decode(_cascade_request, payload,
-                                     len(oracle.bits), passes, started)
-        if kind == 0:
-            oracle.start(arg, passes)
-            started = True
-            transport.send(MsgType.CASCADE_RESP)
-        elif kind == 1:
-            transport.send(MsgType.CASCADE_RESP,
-                           wire.pack_bits(oracle.parities(arg)))
-        elif kind == 2:
-            transport.send(MsgType.CASCADE_RESP,
-                           struct.pack("<Q", oracle.hash64()))
+def _bob_exchange(t, n_bands, requests):
+    """One Cascade step over the wire: one request and one answer frame."""
+    marks = np.zeros((2, n_bands), np.uint8)  # attempt + 1 started, hashed
+    queries = []
+    for b, kind, arg in requests:
+        if kind == reconcile.START:
+            marks[0, b] = arg + 1
+        elif kind == reconcile.HASH:
+            marks[1, b] = 1
         else:
-            transport.send(MsgType.CASCADE_RESP)
-            return arg
+            queries.append((b, arg))
+    sizes = [len(q) for _, q in queries]
+    packed = np.zeros(sum(sizes), _CASCADE_QUERY)
+    if queries:
+        packed["band"] = np.repeat([b for b, _ in queries], sizes)
+        packed["pi"], packed["lo"], packed["hi"] = np.concatenate(
+            [q for _, q in queries]).T
+    hashes = np.flatnonzero(marks[1]).tolist()
+    t.send(MsgType.CASCADE_REQ, _STEP_HEAD.pack(_STEP, len(packed), len(
+        hashes)) + marks.tobytes() + packed.tobytes())
+    _, payload = t.recv(MsgType.CASCADE_RESP)
+    bits, values = t.decode(_cascade_answers, payload, len(packed),
+                            len(hashes))
+    answers = dict(zip(hashes, values))
+    answers.update(zip([b for b, _ in queries],
+                       np.split(bits, np.cumsum(sizes)[:-1])))
+    return answers
+
+
+def _cascade_answers(payload, n_parities, n_hashes):
+    """A step's parity bits and hashes: one bit per query, 8 bytes per
+    hash."""
+    bits, off = wire.unpack_bits(payload, 0, n_parities)
+    if len(payload) - off != 8 * n_hashes:
+        raise ProtocolError(f"Cascade hashes of {len(payload) - off} bytes, "
+                            f"expected {8 * n_hashes}")
+    return bits, np.frombuffer(payload[off:], "<u8").tolist()
+
+
+def _cascade_request(payload, n, passes, live, next_attempt):
+    """A Cascade step's (band, kind, argument) requests for
+    ``reconcile.answer``, starts first, checked against each band's length
+    ``n``, the pass count, the bands in a live attempt and each band's next
+    attempt."""
+    kind, n_parities, n_hashes = _STEP_HEAD.unpack(
+        wire.take(payload, 0, _STEP_HEAD.size))
+    if kind != _STEP:
+        raise ProtocolError(f"bad cascade kind {kind}")
+    off = _STEP_HEAD.size + 2 * len(n)
+    starts, hashes = np.frombuffer(wire.take(
+        payload, _STEP_HEAD.size, 2 * len(n)), np.uint8).reshape(2, -1)
+    q = np.frombuffer(wire.take(payload, off, _CASCADE_QUERY.itemsize
+                                * n_parities), _CASCADE_QUERY)
+    begin = starts > 0
+    if np.any(begin & (live | (starts > reconcile.CASCADE_ATTEMPTS)
+                       | (starts.astype(np.intp) - 1 != next_attempt))):
+        raise ProtocolError("Cascade attempt does not follow its band's last")
+    live = live | begin
+    if np.any(hashes > live) or np.count_nonzero(hashes) != n_hashes:
+        raise ProtocolError("Cascade hashes of bands outside an attempt, "
+                            "or other than counted")
+    band = q["band"].astype(np.intp)
+    if np.any(band >= len(n)) or np.any(np.diff(band) < 0):
+        raise ProtocolError("Cascade queries of bands out of range or order")
+    bad = np.flatnonzero(~live[band] | (q["pi"] >= passes)
+                         | (q["lo"] >= q["hi"]) | (q["hi"] > n[band]))
+    if len(bad):
+        b, pi, lo, hi = q[bad[0]].tolist()
+        raise ProtocolError(f"Cascade query (band {b}, pass {pi}, bits "
+                            f"{lo}:{hi}) outside an attempt of {passes} "
+                            f"passes of {n[b]}")
+    cuts = np.flatnonzero(np.diff(band)) + 1
+    groups = zip(np.split(band, cuts), np.split(np.column_stack(
+        (q["pi"], q["lo"], q["hi"])), cuts))
+    return ([(b, reconcile.START, a - 1)
+             for b, a in enumerate(starts.tolist()) if a]
+            + [(int(b[0]), reconcile.PARITIES, part)
+               for b, part in groups if len(b)]
+            + [(b, reconcile.HASH, None)
+               for b in np.flatnonzero(hashes).tolist()])
+
+
+def _serve_cascade(t, oracles, passes):
+    """Answer Cascade steps for every band until an empty step."""
+    n = np.array([len(oracle.bits) for oracle in oracles], np.uint64)
+    live = np.zeros(len(oracles), bool)
+    next_attempt = np.zeros(len(oracles), np.int64)
+    while True:
+        _, payload = t.recv(MsgType.CASCADE_REQ)
+        requests = t.decode(_cascade_request, payload, n, passes, live,
+                            next_attempt)
+        if not requests:
+            return
+        answers = reconcile.answer(oracles, passes, requests)
+        for b, req, _ in requests:
+            live[b] = req != reconcile.HASH
+            next_attempt[b] += req == reconcile.START
+        parities = [answers[b] for b, r, _ in requests
+                    if r == reconcile.PARITIES]
+        hashes = [answers[b] for b, r, _ in requests if r == reconcile.HASH]
+        t.send(MsgType.CASCADE_RESP, wire.pack_bits(
+            np.concatenate(parities) if parities else [])
+            + np.array(hashes, "<u8").tobytes())
+
+
+def _alice_distill(t, seed, records, strings):
+    """Alice's masks of every distilling band in one AD_MASKS frame, and
+    her block bits that Bob's one AD_ACCEPT frame accepts."""
+    drawn = [reconcile.alice_ad_masks(bits, rec.repeat_n, pipeline.ad_stream(
+        seed, rec.quad, rec.band)) for rec, bits in zip(records, strings)]
+    t.send(MsgType.AD_MASKS, wire.pack_bits(np.concatenate(
+        [masks for _, masks in drawn])))
+    _, payload = t.recv(MsgType.AD_ACCEPT)
+    sizes = [len(c) for c, _ in drawn]
+    accepted, _ = t.decode(wire.unpack_bits, payload, 0, sum(sizes))
+    return [(c[flags.astype(bool)], len(masks)) for (c, masks), flags
+            in zip(drawn, np.split(accepted, np.cumsum(sizes)[:-1]))]
+
+
+def _bob_distill(t, records, strings):
+    """Bob's side of the one AD_MASKS/AD_ACCEPT exchange."""
+    sizes = [len(bits) // rec.repeat_n * rec.repeat_n
+             for rec, bits in zip(records, strings)]
+    _, payload = t.recv(MsgType.AD_MASKS)
+    masks, _ = t.decode(wire.unpack_bits, payload, 0, sum(sizes))
+    applied = [reconcile.bob_ad_apply(bits, m, rec.repeat_n)
+               for rec, bits, m in zip(records, strings,
+                                       np.split(masks, np.cumsum(sizes)[:-1]))]
+    t.send(MsgType.AD_ACCEPT, wire.pack_bits(np.concatenate(
+        [accepted for accepted, _ in applied])))
+    return [(bits, size) for (_, bits), size in zip(applied, sizes)]
+
+
+def _alice_correct(t, bands, passes):
+    """Serve Cascade to every band from Alice's strings."""
+    oracles = [reconcile.ParityOracle(bits, factory)
+               for bits, _, factory in bands]
+    _serve_cascade(t, oracles, passes)
+    return [(oracle.bits, oracle.disclosed_bits) for oracle in oracles]
+
+
+def _bob_correct(t, bands, passes):
+    """Cascade over the wire, then an empty step; a band that fails every
+    attempt aborts the session."""
+    try:
+        results = reconcile.cascade_bands(
+            bands, functools.partial(_bob_exchange, t, len(bands)), passes)
+    except VerificationFailedError as exc:
+        t.fail(str(exc))
+        raise
+    t.send(MsgType.CASCADE_REQ, _STEP_HEAD.pack(_STEP, 0, 0)
+           + bytes(2 * len(bands)))
+    return [(res.bits, res.leaked_bits) for res in results]
 
 
 def run_alice(reader, writer, config, sink=None):
@@ -225,27 +299,13 @@ def run_alice(reader, writer, config, sink=None):
     records = pipeline.band_records(plan, bands.eve_information_bits(
         plan.slices.n_x, np.abs(v_a), plan.eta_x, plan.eta_p,
         config.doubled_exponent))
+    signs = plan.split((v_a > 0).astype(np.uint8))
+    del v_a, plan  # the band steps hold every band's state at once
 
-    def distill(rec, bits):
-        c, masks = reconcile.alice_ad_masks(
-            bits, rec.repeat_n, pipeline.ad_stream(seed, rec.quad, rec.band))
-        t.send(MsgType.AD_MASKS, wire.pack_bits(masks))
-        _, payload = t.recv(MsgType.AD_ACCEPT)
-        accepted, _ = t.decode(wire.unpack_bits, payload)
-        if len(accepted) != len(c):
-            raise t.fail("AD accept flags do not match the block count")
-        return c[accepted.astype(bool)], int(len(masks))
-
-    def correct(rec, bits, beta_hat):
-        oracle = reconcile.ParityOracle(
-            bits, pipeline.cascade_stream_factory(seed, rec.quad, rec.band))
-        if not _serve_cascade(t, oracle, config.cascade_passes):
-            raise ProtocolAbort("peer reported Cascade failure")
-        return bits, oracle.disclosed_bits
-
-    parts = [pipeline.band_step(rec, bits, distill, correct) for rec, bits
-             in zip(records, plan.split((v_a > 0).astype(np.uint8)))]
-    (alice_key,) = pipeline.finish_keys(records, [parts], config)
+    strings = pipeline.band_steps(
+        records, signs, config, functools.partial(_alice_distill, t, seed),
+        functools.partial(_alice_correct, t))
+    (alice_key,) = pipeline.finish_keys(records, [strings], config)
 
     t.send(MsgType.PA_SEED, _pack_sizing(records, seed))
 
@@ -344,32 +404,16 @@ def run_bob(reader, writer, sink=None):
     plan = pipeline.band_plan(ps, est, config)
     t.send(MsgType.KEEP_MASK, plan.pack())
     records = pipeline.band_records(plan, ps.eve_info)
-    ps.kept.u = ps.eve_info = None  # free the carried arrays
+    bits = plan.split(ps.kept.bob_bit)
+    # the band steps hold every band's state at once: free what only the
+    # plan read
+    del plan
+    ps.kept.u = ps.kept.abs_v_a = ps.kept.v_b = ps.eve_info = ps.slices = None
 
-    def distill(rec, bits):
-        _, payload = t.recv(MsgType.AD_MASKS)
-        masks, _ = t.decode(wire.unpack_bits, payload)
-        accepted, dist_b = reconcile.bob_ad_apply(bits, masks, rec.repeat_n)
-        t.send(MsgType.AD_ACCEPT, wire.pack_bits(accepted))
-        return dist_b, int(len(masks))
-
-    def correct(rec, bits, beta_hat):
-        oracle = _RemoteOracle(t)
-        try:
-            result = reconcile.cascade_correct(
-                bits, oracle, beta_hat,
-                pipeline.cascade_stream_factory(seed, rec.quad, rec.band),
-                passes=config.cascade_passes,
-            )
-        except VerificationFailedError:
-            oracle.done(ok=False)
-            raise
-        oracle.done()
-        return result.bits, result.leaked_bits
-
-    parts = [pipeline.band_step(rec, bits, distill, correct) for rec, bits
-             in zip(records, plan.split(ps.kept.bob_bit))]
-    (bob_key,) = pipeline.finish_keys(records, [parts], config)
+    strings = pipeline.band_steps(
+        records, bits, config, functools.partial(_bob_distill, t),
+        functools.partial(_bob_correct, t))
+    (bob_key,) = pipeline.finish_keys(records, [strings], config)
 
     _, payload = t.recv(MsgType.PA_SEED)
     if payload != _pack_sizing(records, seed):
@@ -414,27 +458,23 @@ def audit_transcript(transcript):
 
     Counts repeat-code mask bits, Cascade parity and verification-hash
     bits, and the final confirmation hash; the totals must match the
-    per-band leakage ledger of the run that produced the transcript.
+    per-band leakage ledger of the run that produced the transcript.  A
+    head too short for its counts raises ``ProtocolError``.
     """
     ad_mask_bits = 0
     parity_bits = 0
     hash_bits = 0
     confirm_bits = 0
-    pending_kind = None
     for _, msg_type, body in transcript:
         payload = body[16:]
         if msg_type == MsgType.AD_MASKS:
-            (count,) = struct.unpack_from("<Q", payload, 0)
+            (count,) = wire.unpack_from("<Q", payload, 0)
             ad_mask_bits += count
         elif msg_type == MsgType.CASCADE_REQ:
-            pending_kind = payload[0]
-            if pending_kind == 1:
-                (parity_bits_here,) = struct.unpack_from("<Q", payload, 1)
-                parity_bits += parity_bits_here
-        elif msg_type == MsgType.CASCADE_RESP:
-            if pending_kind == 2:
-                hash_bits += reconcile.HASH_BITS
-            pending_kind = None
+            _, n_parities, n_hashes = _STEP_HEAD.unpack(
+                wire.take(payload, 0, _STEP_HEAD.size))
+            parity_bits += n_parities
+            hash_bits += reconcile.HASH_BITS * n_hashes
         elif msg_type == MsgType.KEY_CONFIRM:
             # one hash, sent by Alice; Bob's reply is a verdict flag
             confirm_bits = privamp.CONFIRM_BITS

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -223,10 +224,37 @@ def _sequential_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
     return bob, corrections
 
 
-def _mean_parity_bits(trials):
-    """Mean Cascade parity bits (the leak less the hashes) over the trials."""
+def _replayed(attempt_fn, alice, factory):
+    """``attempt_fn(bob, oracle, attempt, beta_est, passes, perm_rng)`` as
+    a step machine: it runs against a local oracle on Alice's bits, and its
+    start and parity queries are then sent as requests, so the Cascade
+    ``cascade_bands`` and its oracle count exactly the bits it disclosed."""
+
+    def machine(bob, attempt, beta_est, passes, perm_rng):
+        batches = []
+
+        class Recorder(reconcile.ParityOracle):
+            def parities(self, queries):
+                batches.append(np.asarray(queries).reshape(-1, 3))
+                return super().parities(queries)
+
+        bob, corrections = attempt_fn(bob, Recorder(alice, factory), attempt,
+                                      beta_est, passes, perm_rng)
+        yield reconcile.START, attempt
+        yield reconcile.PARITIES, np.concatenate(batches)
+        return bob, corrections
+
+    return machine
+
+
+def _mean_parity_bits(trials, attempt_fn=None, monkeypatch=None):
+    """Mean Cascade parity bits (the leak less the hashes) over the trials,
+    with ``attempt_fn`` in place of the lockstep attempt when given."""
     total = 0
     for alice, bob, beta, factory in trials:
+        if attempt_fn is not None:
+            monkeypatch.setattr(reconcile, "_cascade_attempt",
+                                _replayed(attempt_fn, alice, factory))
         res, _ = reconcile.cascade(alice, bob, beta, factory)
         assert np.array_equal(res.bits, alice)
         total += res.leaked_bits - reconcile.HASH_BITS * res.attempts
@@ -243,8 +271,39 @@ def test_lockstep_cascade_leaks_no_more_than_sequential(monkeypatch):
             trials.append((alice, bob, beta,
                            _factory(400 + len(trials))))
     lockstep = _mean_parity_bits(trials)
-    monkeypatch.setattr(reconcile, "_cascade_attempt", _sequential_attempt)
-    assert lockstep <= 1.01 * _mean_parity_bits(trials)
+    assert lockstep <= 1.01 * _mean_parity_bits(
+        trials, _sequential_attempt, monkeypatch)
+
+
+def test_cascade_bands_match_cascade_band_by_band():
+    """``cascade_bands`` gives every band what ``cascade`` gives it
+    alone: a band that retries, a 0-bit and a 1-bit band among others."""
+    rng = stream(11, "test", "cascade-bands")
+    bands = []
+    for n, beta, beta_est in ((2000, 0.2, 0.01), (0, 0.1, 0.1),
+                              (1, 1.0, 0.1), (3000, 0.05, 0.05),
+                              (20_000, 0.02, 0.02)):
+        alice = rng.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (rng.random(n) < beta).astype(np.uint8)
+        bands.append((alice, bob, beta_est, _factory(500 + len(bands))))
+    oracles = [reconcile.ParityOracle(alice, factory)
+               for alice, _, _, factory in bands]
+    got = reconcile.cascade_bands(
+        [(bob, beta_est, factory) for _, bob, beta_est, factory in bands],
+        functools.partial(reconcile.answer, oracles,
+                          reconcile.CASCADE_PASSES))
+    attempts = []
+    for (alice, bob, beta_est, factory), res, oracle in zip(bands, got,
+                                                             oracles):
+        want, want_oracle = reconcile.cascade(alice, bob, beta_est, factory)
+        assert np.array_equal(res.bits, want.bits)
+        assert np.array_equal(res.bits, alice)
+        assert (res.leaked_bits, res.attempts, res.corrected) == (
+            want.leaked_bits, want.attempts, want.corrected)
+        assert oracle.disclosed_bits == want_oracle.disclosed_bits \
+            == res.leaked_bits
+        attempts.append(res.attempts)
+    assert attempts[0] > 1 and attempts[1] == 0 and attempts[2] == 1
 
 
 def test_cascade_verification_failure_raises():

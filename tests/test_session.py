@@ -1,16 +1,18 @@
+import collections
 import io
 import socket
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cvqkd import reconcile, session, wire
-from cvqkd.errors import ProtocolError
-from cvqkd.pipeline import (PipelineConfig, ledger_text, run_pipeline,
-                            sift_layout)
+from cvqkd.errors import ProtocolAbort, ProtocolError, VerificationFailedError
+from cvqkd.pipeline import (BandRecord, PipelineConfig, ledger_text,
+                            run_pipeline, sift_layout)
 from cvqkd.rng import stream
 from cvqkd.wire import MsgType
 
@@ -271,37 +273,98 @@ def test_short_plan_is_rejected_with_abort():
     assert _sent_abort(t)
 
 
-def _cascade_frames(queries, count=None):
-    start = b"\x00" + struct.pack("<II", 0, 4)
-    batch = b"\x01" + struct.pack(
-        "<Q", len(queries) if count is None else count) + b"".join(
-        struct.pack("<BQQ", *q) for q in queries)
-    return _transport((wire.MsgType.CASCADE_REQ, start),
-                      (wire.MsgType.CASCADE_REQ, batch))
+def _step(starts=(), queries=(), hashes=(), counts=None, n_bands=2):
+    """A Cascade step frame for ``n_bands`` bands: (band, attempt) starts,
+    (band, pass, lo, hi) queries and the bands it hashes, each hash mark
+    adding 1; ``counts`` replaces the (parities, hashes) counts of its
+    head."""
+    marks = np.zeros((2, n_bands), np.uint8)
+    for band, attempt in starts:
+        marks[0, band] = attempt + 1
+    for band in hashes:
+        marks[1, band] += 1
+    return (struct.pack("<BQQ", 1, *(counts or (len(queries), len(hashes))))
+            + marks.tobytes()
+            + b"".join(struct.pack("<HBQQ", *e) for e in queries))
 
 
-@pytest.mark.parametrize("queries,count", [
-    ([(9, 0, 10)], None),
-    ([(0, 0, 10**6)], None),
-    ([(0, 5, 5)], None),
-    ([(0, 0, 10), (1, 10, 101), (2, 20, 30)], None),
-    ([(0, 0, 10), (3, 90, 100), (4, 0, 10)], None),
-    ([(0, 0, 10)], 2),
+def _oracles(count):
+    return [reconcile.ParityOracle(np.zeros(100, np.uint8),
+                                   lambda attempt: stream(1, "test", attempt))
+            for _ in range(count)]
+
+
+S0 = [(0, 0)]  # band 0 starts its first attempt
+
+
+@pytest.mark.parametrize("frame", [
+    # pass, range and count faults
+    _step(S0, [(0, 9, 0, 10)]),
+    _step(S0, [(0, 0, 0, 10**6)]),
+    _step(S0, [(0, 0, 5, 5)]),
+    _step(S0, [(0, 0, 0, 10), (0, 1, 10, 101), (0, 2, 20, 30)]),
+    _step(S0, [(0, 0, 0, 10), (0, 3, 90, 100), (0, 4, 0, 10)]),
+    _step(S0, [(0, 0, 0, 10)], counts=(2, 0)),
+    # band tags, attempts, hashes and counts
+    _step(S0, [(2, 0, 0, 10)]),
+    _step(S0, [(1, 0, 0, 10)]),
+    _step(S0, [(0, 0, 0, 10)], [1]),
+    _step(S0, [], [0, 0]),
+    _step(S0, [], [0], counts=(0, 2)),
+    _step(S0, [(0, 0, 0, 10)], counts=(1, 1)),
+    _step([(0, 1)], [(0, 0, 0, 10)]),
+    _step([(0, 3)], [(0, 0, 0, 10)]),
+    _step([(0, 0), (1, 0)], [(1, 0, 0, 10), (0, 0, 0, 10)]),
+    _step(S0, [(0, 0, 0, 10)])[:18],
+    _step(S0, [(0, 0, 0, 10)], n_bands=1),
+    b"\x02" + _step(S0)[1:],
+    b"\x01" + bytes(3),
 ], ids=["pass_out_of_range", "range_past_end", "empty_range",
         "past_end_mid_batch", "pass_out_of_range_after_valid",
-        "count_past_payload"])
-def test_bad_cascade_query_is_rejected_with_abort(queries, count):
-    t = _cascade_frames(queries, count)
-    oracle = reconcile.ParityOracle(np.zeros(100, np.uint8),
-                                    lambda attempt: stream(1, "test", attempt))
+        "count_past_payload", "band_out_of_range", "band_not_started",
+        "hash_not_started", "same_band_twice_in_hashes",
+        "hash_count_above_marks", "hash_count_below_marks",
+        "attempt_skipped", "attempt_past_the_limit", "bands_out_of_order",
+        "marks_past_payload", "marks_of_too_few_bands", "bad_kind",
+        "short_head"])
+def test_bad_cascade_query_is_rejected_with_abort(frame):
+    t = _transport((MsgType.CASCADE_REQ, frame))
+    oracles = _oracles(2)
     with pytest.raises(ProtocolError):
-        session._serve_cascade(t, oracle, 4)
-    assert oracle.disclosed_bits == 0
-    # the start was answered, then the session aborted
+        session._serve_cascade(t, oracles, 4)
+    assert [oracle.disclosed_bits for oracle in oracles] == [0, 0]
+    assert _sent_types(t.writer.getvalue()) == [MsgType.ABORT]
+
+
+@pytest.mark.parametrize("frame,live,next_attempt", [
+    (_step([(0, 1)], [(0, 0, 0, 10)]), [True, False], [1, 0]),
+    (_step([], [(0, 0, 0, 10)]), [False, True], [1, 1]),
+    (_step([], [], [0]), [False, True], [1, 1]),
+], ids=["restart_of_a_live_band", "query_after_hash", "hash_after_hash"])
+def test_cascade_request_checks_the_band_state(frame, live, next_attempt):
+    with pytest.raises(ProtocolError):
+        session._cascade_request(frame, np.array([100, 100], np.uint64), 4,
+                                 np.array(live), np.array(next_attempt))
+
+
+def test_cascade_steps_are_answered_in_order():
+    """Starts and queries of two bands, then a query and a hash in one
+    step; an empty step ends Cascade."""
+    t = _transport(
+        (MsgType.CASCADE_REQ, _step([(0, 0), (1, 0)], [(0, 0, 0, 10),
+                                                       (1, 3, 5, 100)])),
+        (MsgType.CASCADE_REQ, _step([], [(1, 0, 0, 2)], [0])),
+        (MsgType.CASCADE_REQ, _step()))
+    oracles = _oracles(2)
+    session._serve_cascade(t, oracles, 4)
+    assert [o.disclosed_bits for o in oracles] == [65, 2]
     frames = t.writer.getvalue()
+    assert _sent_types(frames) == [MsgType.CASCADE_RESP] * 2
     _, first = wire.decode_frame(frames)
-    rest = frames[wire.HEADER.size + len(first):]
-    assert wire.decode_frame(rest)[0] == wire.MsgType.ABORT
+    _, second = wire.decode_frame(frames[wire.HEADER.size + len(first):])
+    assert first[16:] == wire.pack_bits(np.zeros(2, np.uint8))
+    assert second[16:] == wire.pack_bits(np.zeros(1, np.uint8)) + struct.pack(
+        "<Q", reconcile.poly_hash64(np.zeros(100, np.uint8)))
 
 
 def test_cascade_runs_one_batch_per_bisection_level():
@@ -314,20 +377,134 @@ def test_cascade_runs_one_batch_per_bisection_level():
     assert batches < 3251 / 10
 
 
-@pytest.mark.parametrize("kind,answer", [
-    (1, wire.pack_bits(np.zeros(2, np.uint8))),
-    (2, bytes(2)),
-    (2, bytes(9)),
-], ids=["batch_one_bit_short", "hash_of_2_bytes", "hash_of_9_bytes"])
-def test_bad_cascade_answer_is_rejected_with_abort(kind, answer):
+@pytest.mark.parametrize("requests,answer", [
+    ([(0, reconcile.PARITIES, np.array([[0, 0, 10], [0, 10, 20]])),
+      (1, reconcile.PARITIES, np.array([[1, 0, 5]]))],
+     wire.pack_bits(np.zeros(2, np.uint8))),
+    ([(0, reconcile.HASH, None)], wire.pack_bits([]) + bytes(2)),
+    ([(0, reconcile.HASH, None)], wire.pack_bits([]) + bytes(9)),
+    ([(0, reconcile.PARITIES, np.array([[0, 0, 10]])),
+      (1, reconcile.HASH, None)], wire.pack_bits(np.zeros(1, np.uint8))),
+    ([(0, reconcile.HASH, None), (1, reconcile.HASH, None)],
+     wire.pack_bits([]) + bytes(8)),
+], ids=["batch_one_bit_short", "hash_of_2_bytes", "hash_of_9_bytes",
+        "hash_missing_after_parities", "one_hash_for_two_bands"])
+def test_bad_cascade_answer_is_rejected_with_abort(requests, answer):
     t = _transport((MsgType.CASCADE_RESP, answer))
-    oracle = session._RemoteOracle(t)
     with pytest.raises(ProtocolError):
-        if kind == 1:
-            oracle.parities(np.array([[0, 0, 10], [0, 10, 20], [1, 0, 5]]))
-        else:
-            oracle.hash64()
-    assert oracle.disclosed_bits == 0
+        session._bob_exchange(t, 2, requests)
     # the request went out, then the session aborted
     assert _sent_types(t.writer.getvalue()) == [MsgType.CASCADE_REQ,
                                                 MsgType.ABORT]
+
+
+def _ad_records():
+    """Two bands of 7 and 10 bits with repeat lengths 2 and 3: 3 + 3 blocks
+    and 6 + 9 mask bits."""
+    records = [BandRecord("x", 0, 0.0, 0.2, 0.3, repeat_n=2),
+               BandRecord("p", 1, 0.0, 0.3, 0.3, repeat_n=3)]
+    return records, [np.zeros(7, np.uint8), np.ones(10, np.uint8)]
+
+
+@pytest.mark.parametrize("n_masks", [14, 16, 0])
+def test_bob_rejects_a_mask_total_off_the_blocks(n_masks):
+    records, strings = _ad_records()
+    t = _transport((MsgType.AD_MASKS, wire.pack_bits(np.zeros(n_masks))))
+    with pytest.raises(ProtocolError):
+        session._bob_distill(t, records, strings)
+    assert _sent_types(t.writer.getvalue()) == [MsgType.ABORT]
+
+
+@pytest.mark.parametrize("n_flags", [5, 7, 15])
+def test_alice_rejects_accept_flags_off_the_blocks(n_flags):
+    records, strings = _ad_records()
+    t = _transport((MsgType.AD_ACCEPT, wire.pack_bits(np.ones(n_flags))))
+    with pytest.raises(ProtocolError):
+        session._alice_distill(t, 1, records, strings)
+    assert _sent_types(t.writer.getvalue()) == [MsgType.AD_MASKS,
+                                                MsgType.ABORT]
+
+
+def test_one_ad_exchange_serves_every_band():
+    records, strings = _ad_records()
+    t = _transport((MsgType.AD_ACCEPT, wire.pack_bits(np.ones(6))))
+    alice = session._alice_distill(t, 1, records, strings)
+    _, body = wire.decode_frame(t.writer.getvalue())
+    t = _transport((MsgType.AD_MASKS, body[16:]))
+    bob = session._bob_distill(t, records, strings)
+    assert [m for _, m in alice] == [m for _, m in bob] == [6, 9]
+    assert [len(bits) for bits, _ in bob] == [3, 3]
+    # Bob's strings are Alice's here, so every block is accepted and equal
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(alice, bob))
+
+
+def test_session_turns_are_the_max_over_bands(monkeypatch):
+    """One round trip per protocol step across all bands: a session's
+    turns stay within the busiest band's in-process steps (parity batches,
+    plus start and hash per attempt) and a few handshake turns."""
+    config = PipelineConfig(loss=0.54, var_mod=4.0, n_symbols=50_000,
+                            n_bands=6, seed=61)
+    alice, _ = _run_session(config)
+    dirs = [d for d, _, _ in alice.transcript]
+    turns = sum(1 for prev, cur in zip(dirs, dirs[1:])
+                if prev == "tx" and cur == "rx")
+    steps = collections.Counter()
+    for name, weight in (("parities", 1), ("start", 2)):
+        method = getattr(reconcile.ParityOracle, name)
+
+        def counted(self, *args, _method=method, _weight=weight):
+            steps[self] += _weight
+            return _method(self, *args)
+
+        monkeypatch.setattr(reconcile.ParityOracle, name, counted)
+    run_pipeline(config)
+    assert turns <= max(steps.values()) + 8
+
+
+def test_silent_peer_times_out():
+    """A socket timeout on a silent peer ends the role with a
+    ProtocolError instead of a hang."""
+    sa, sb = socket.socketpair()
+    sb.settimeout(0.2)
+    t0 = time.monotonic()
+    try:
+        with sb.makefile("rb") as r, sb.makefile("wb") as w, \
+                pytest.raises(ProtocolError):
+            session.run_bob(r, w)
+    finally:
+        sa.close()
+        sb.close()
+    assert time.monotonic() - t0 < 2.0
+
+
+@pytest.mark.parametrize("msg_type,head", [
+    (MsgType.CASCADE_REQ, b"\x01\x02"), (MsgType.AD_MASKS, b"\x05")])
+def test_audit_rejects_a_short_head(msg_type, head):
+    with pytest.raises(ProtocolError):
+        session.audit_transcript([("rx", msg_type, wire.AUTH_TAG + head)])
+
+
+def test_cascade_failure_ends_both_roles(monkeypatch):
+    """A band whose hashes never match ends the receiver with
+    VerificationFailedError and the sender with ProtocolAbort."""
+    monkeypatch.setattr(reconcile.ParityOracle, "hash64",
+                        lambda self: 12345)  # never Bob's hash
+    sa, sb = socket.socketpair()
+    errors = {}
+
+    def bob():
+        with sb.makefile("rb") as r, sb.makefile("wb") as w:
+            try:
+                session.run_bob(r, w)
+            except VerificationFailedError as exc:
+                errors["bob"] = exc
+
+    t = threading.Thread(target=bob)
+    t.start()
+    with sa.makefile("rb") as r, sa.makefile("wb") as w, \
+            pytest.raises(ProtocolAbort):
+        session.run_alice(r, w, SHORT_CONFIG)
+    t.join(timeout=20)
+    assert not t.is_alive() and "bob" in errors
+    sa.close()
+    sb.close()
