@@ -147,11 +147,11 @@ MIN_POINTS_PER_BAND = 100
 
 
 class BandSlices:
-    """Bits grouped by (quadrature, band) with one stable sort per half.
+    """Bits grouped by (quadrature index, band), one stable sort per half.
 
     ``values[order]`` puts every band in one contiguous slice that keeps the
-    bits' original order; iterating yields (quad, band, slice) with the x
-    bands first, each quadrature from band 0 up.
+    bits' original order; iterating yields (quadrature index, band, slice)
+    with the x bands first, each quadrature from band 0 up.
     """
 
     def __init__(self, n_x, band_idx, n_bands):
@@ -164,37 +164,38 @@ class BandSlices:
             np.bincount(band_idx[s], minlength=n_bands) for s, _ in cut]))
 
     def __getitem__(self, quad_band):
-        quad, band = quad_band
-        j = QUADRATURES.index(quad) * self.n_bands + band
+        qi, band = quad_band
+        j = qi * self.n_bands + band
         return slice(int(self.stops[j - 1]) if j else 0, int(self.stops[j]))
 
     def __iter__(self):
-        for quad in QUADRATURES:
+        for qi in range(2):
             for k in range(self.n_bands):
-                yield quad, k, self[quad, k]
+                yield qi, k, self[qi, k]
 
     def means(self, values):
-        """Per-band mean of ``values`` (0.0 for an empty band)."""
+        """Per-band mean of ``values`` as a (2, n_bands) array (0.0 for an
+        empty band)."""
         values = values[self.order]
-        return {(quad, k): float(values[s].mean()) if s.stop > s.start
-                else 0.0 for quad, k, s in self}
+        return np.array([values[s].mean() if s.stop > s.start else 0.0
+                         for _, _, s in self]).reshape(2, self.n_bands)
 
 
 @dataclass
 class BicPartition:
     """Equal-count bands of the statistic u, per quadrature.
 
-    ``boundaries[quad]`` ascends from 0 to inf in u.  Band index 0 is the
-    lowest-error band (the topmost u slice); index n_bands - 1 the highest.
-    ``band_idx`` is the band of every bit the partition was built on, and
-    ``calibration`` (None for all of them) the subset that set the
-    boundaries.  Stats arrays have shape (2, n_bands) indexed (quadrature,
-    band); they count the calibration subset and stay zero until Alice's
-    bits are tallied.
+    ``boundaries``, shape (2, n_bands + 1), ascend from 0 to inf in u per
+    quadrature.  Band index 0 is the lowest-error band (the topmost u
+    slice); index n_bands - 1 the highest.  ``band_idx`` is the band of
+    every bit the partition was built on, and ``calibration`` (None for all
+    of them) the subset that set the boundaries.  Stats arrays have shape
+    (2, n_bands) indexed (quadrature, band); they count the calibration
+    subset and stay zero until Alice's bits are tallied.
     """
 
     n_bands: int
-    boundaries: dict
+    boundaries: np.ndarray
     band_idx: np.ndarray      # uint8
     calibration: np.ndarray | None
     n_good: np.ndarray
@@ -228,9 +229,8 @@ def _assign(boundaries, n_bands, u, n_x):
     """Band index per bit: one searchsorted per quadrature."""
     out = np.empty(len(u), dtype=np.uint8)
     for s, qi in halves(n_x, len(u)):
-        raw = np.searchsorted(boundaries[QUADRATURES[qi]][1:-1], u[s],
-                              side="right")
-        out[s] = n_bands - 1 - raw
+        out[s] = n_bands - 1 - np.searchsorted(boundaries[qi, 1:-1], u[s],
+                                               side="right")
     return out
 
 
@@ -241,22 +241,21 @@ def build_partition(sifted, n_bands=10, calibration_mask=None):
     subset's good/error counts when Alice's bits are known."""
     if not 1 <= n_bands <= 255:
         raise InvalidConfigError(f"n_bands={n_bands} must be in [1, 255]")
-    boundaries = {}
+    boundaries = np.zeros((2, n_bands + 1))
+    boundaries[:, -1] = np.inf
     for s, qi in halves(sifted.n_x, len(sifted)):
         uq = sifted.u[s]
         if calibration_mask is not None:
             uq = uq[calibration_mask[s]]
-        quad = QUADRATURES[qi]
         if len(uq) < n_bands * MIN_POINTS_PER_BAND:
             raise InsufficientDataError(
-                f"quadrature {quad}: {len(uq)} points < "
+                f"quadrature {QUADRATURES[qi]}: {len(uq)} points < "
                 f"{n_bands * MIN_POINTS_PER_BAND} required for {n_bands} bands"
             )
-        qs = np.quantile(uq, np.linspace(0.0, 1.0, n_bands + 1)[1:-1])
-        edges = np.concatenate([[0.0], qs, [np.inf]])
-        if np.any(np.diff(edges[:-1]) < 0):
-            raise InvalidConfigError("band boundaries not increasing")
-        boundaries[quad] = edges
+        boundaries[qi, 1:-1] = np.quantile(
+            uq, np.linspace(0.0, 1.0, n_bands + 1)[1:-1])
+    if np.any(np.diff(boundaries[:, :-1]) < 0):
+        raise InvalidConfigError("band boundaries not increasing")
     partition = BicPartition(
         n_bands, boundaries, _assign(boundaries, n_bands, sifted.u, sifted.n_x),
         calibration_mask, np.zeros((2, n_bands)), np.zeros((2, n_bands)))
@@ -334,15 +333,15 @@ def _empirical_report(kept, slices, eve_info, n_symbols):
     per_bic = []
     i_ab = 0.0
     i_ae = 0.0
-    for quad, k, s in slices:
+    for qi, k, s in slices:
         cnt = s.stop - s.start
         if cnt == 0:
-            per_bic.append((k, quad, 0.0, 0.0, 0.0))
+            per_bic.append((k, QUADRATURES[qi], 0.0, 0.0, 0.0))
             continue
         p_emp = np.count_nonzero(errors[s]) / cnt
         ab_k = cnt / n_symbols * float(security.channel_capacity(p_emp))
         ae_k = float(np.sum(iae[s])) / n_symbols
-        per_bic.append((k, quad, ab_k, ae_k, ab_k - ae_k))
+        per_bic.append((k, QUADRATURES[qi], ab_k, ae_k, ab_k - ae_k))
         i_ab += ab_k
         i_ae += ae_k
     return security.InfoReport(i_ab, i_ae, i_ab - i_ae, per_bic)

@@ -11,6 +11,7 @@ confirmed.
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import socket
 import sys
@@ -140,15 +141,8 @@ def cmd_sweep(args):
         row = {"loss": loss, "theory_bits_per_symbol": theory[1],
                "theory_bits_per_second": theory[2]}
         if simulate:
-            cfg = pipeline.PipelineConfig(**{
-                **{f: getattr(config, f) for f in (
-                    "var_mod", "n_symbols", "n_bands", "seed",
-                    "security_bits", "reveal_fraction", "min_reveal",
-                    "cascade_passes", "ad_target", "ad_cap",
-                    "doubled_exponent", "holdout", "symbol_rate")},
-                "loss": loss,
-            })
-            result = pipeline.run_pipeline(cfg)
+            result = pipeline.run_pipeline(
+                dataclasses.replace(config, loss=loss))
             for r in result.report.rows:
                 row[f"sim_{r.stage}_bits_per_second"] = r.bits_per_second
             if not result.confirmed:

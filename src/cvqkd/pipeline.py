@@ -66,8 +66,8 @@ class PipelineConfig:
             raise InvalidConfigError("reveal_fraction must be in (0, 1)")
         if not 1 <= self.cascade_passes <= 255:  # one byte on the wire
             raise InvalidConfigError("cascade_passes must be in [1, 255]")
-        if self.ad_cap < 1:
-            raise InvalidConfigError("ad_cap must be >= 1")
+        if not 1 <= self.ad_cap <= 255:  # one byte on the wire
+            raise InvalidConfigError("ad_cap must be in [1, 255]")
 
     def resolve_var_mod(self):
         """Fill in the optimizing modulation variance if left unset."""
@@ -90,29 +90,29 @@ class PipelineConfig:
 
     @classmethod
     def from_text(cls, text):
+        """Parse ``to_text``: each value is cast to its field's default
+        type (bool, int, else float); an empty value means None."""
         kwargs = {}
-        casts = {f.name: f for f in fields(cls)}
+        defaults = {f.name: f.default for f in fields(cls)}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, val = line.split("=", 1)
-            key = key.strip()
-            val = val.strip()
-            if key not in casts:
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in defaults:
                 raise InvalidConfigError(f"unknown config key {key}")
+            default = defaults[key]
             if val == "":
-                if casts[key].default is not None:
+                if default is not None:
                     raise InvalidConfigError(f"config key {key} needs a value")
                 kwargs[key] = None
-            elif key in ("n_symbols", "n_bands", "seed", "security_bits",
-                         "min_reveal", "cascade_passes", "ad_cap"):
-                kwargs[key] = int(float(val))
-            elif key in ("doubled_exponent", "holdout"):
+            elif isinstance(default, bool):
                 if val.lower() not in _FLAGS:
                     raise InvalidConfigError(
                         f"config key {key} needs one of {'/'.join(_FLAGS)}")
                 kwargs[key] = _FLAGS[val.lower()]
+            elif isinstance(default, int):
+                kwargs[key] = int(float(val))
             else:
                 kwargs[key] = float(val)
         return cls(**kwargs)
@@ -215,11 +215,18 @@ def calibration_mask(config, symbol_mask):
     return mask
 
 
+# one band of the receiver's plan: quadrature index (0 = x), band, repeat
+# length and predicted error rate
+PLAN_BAND = np.dtype([("quad", "u1"), ("band", "u1"), ("repeat_n", "u1"),
+                      ("p_pred", "<f8")])
+
+
 @dataclass
 class BandPlan:
     """The receiver's public banding announcement.
 
     ``keep`` covers the sifted positions and ``band_idx`` the kept ones;
+    ``table`` holds one ``PLAN_BAND`` row per band in processing order, and
     ``slices`` groups the kept bits by band.
     """
 
@@ -227,139 +234,82 @@ class BandPlan:
     eta_p: float
     keep: np.ndarray          # bool over sifted positions
     band_idx: np.ndarray      # uint8 per kept point
-    n_bands: int
-    boundaries_x: np.ndarray
-    boundaries_p: np.ndarray
-    p_pred: dict              # (quad, band) -> predicted error
-    repeat_ns: dict           # (quad, band) -> repeat length
-    order: list               # (quad, band) processing order
+    table: np.ndarray         # PLAN_BAND per band, in processing order
     slices: bands.BandSlices = field(repr=False, compare=False)
 
     def split(self, values):
         """Per-kept-bit ``values`` (last axis) cut into one array per band,
         in processing order."""
         values = values[..., self.slices.order]
-        return [values[..., self.slices[quad, k]] for quad, k in self.order]
+        return [values[..., self.slices[qi, k]]
+                for qi, k in self.table[["quad", "band"]].tolist()]
 
     def pack(self):
-        out = [struct.pack("<dd", self.eta_x, self.eta_p),
-               wire.pack_bits(self.keep.astype(np.uint8)),
-               struct.pack("<Q", len(self.band_idx)),
-               self.band_idx.tobytes(),
-               struct.pack("<I", self.n_bands),
-               wire.pack_floats(self.boundaries_x),
-               wire.pack_floats(self.boundaries_p)]
-        for quad in QUADRATURES:
-            out.append(wire.pack_floats(
-                [self.p_pred[(quad, k)] for k in range(self.n_bands)]
-            ))
-            out.append(bytes(
-                self.repeat_ns[(quad, k)] for k in range(self.n_bands)
-            ))
-        out.append(bytes(
-            b for quad, k in self.order for b in (quad == "p", k)
-        ))
-        return b"".join(out)
+        return b"".join([struct.pack("<dd", self.eta_x, self.eta_p),
+                         wire.pack_bits(self.keep.astype(np.uint8)),
+                         struct.pack("<Q", len(self.band_idx)),
+                         self.band_idx.tobytes(), self.table.tobytes()])
 
     @classmethod
     def unpack(cls, buf, n_sift, n_bands):
         """Decode a plan for ``n_sift`` sifted positions and ``n_bands``
         bands; a plan that does not fit them raises ``ProtocolError``."""
         eta_x, eta_p = wire.unpack_from("<dd", buf, 0)
-        keep_u8, off = wire.unpack_bits(buf, 16)
-        keep = keep_u8.astype(bool)
+        keep, off = wire.unpack_bits(buf, 16, n_sift)
+        keep = keep.astype(bool)
         (n_kept,) = wire.unpack_from("<Q", buf, off)
         band_idx = np.frombuffer(wire.take(buf, off + 8, n_kept),
                                  dtype=np.uint8).copy()
         off += 8 + n_kept
-        (got_bands,) = wire.unpack_from("<I", buf, off)
-        off += 4
-        if len(keep) != n_sift or got_bands != n_bands:
-            raise ProtocolError(
-                f"plan for {len(keep)} positions and {got_bands} bands, "
-                f"expected {n_sift} and {n_bands}")
         if n_kept != np.count_nonzero(keep) or np.any(band_idx >= n_bands):
             raise ProtocolError("band index does not fit the keep mask")
-        bx, off = wire.unpack_floats(buf, off, n_bands + 1)
-        bp, off = wire.unpack_floats(buf, off, n_bands + 1)
-        p_pred = {}
-        repeat_ns = {}
-        for quad in QUADRATURES:
-            vals, off = wire.unpack_floats(buf, off, n_bands)
-            reps = wire.take(buf, off, n_bands)
-            off += n_bands
-            if min(reps) < 1:
-                raise ProtocolError("repeat length below 1")
-            for k in range(n_bands):
-                p_pred[(quad, k)] = float(vals[k])
-                repeat_ns[(quad, k)] = reps[k]
-        raw = wire.take(buf, off, 4 * n_bands)
-        order = [("p" if raw[i] else "x", raw[i + 1])
-                 for i in range(0, len(raw), 2)]
-        if set(order) != set(p_pred):
-            raise ProtocolError("processing order is not a band permutation")
+        if len(buf) - off != 2 * n_bands * PLAN_BAND.itemsize:
+            raise ProtocolError(f"plan table of {len(buf) - off} bytes, "
+                                f"expected {2 * n_bands} bands")
+        table = np.frombuffer(buf, PLAN_BAND, offset=off).copy()
+        key = table["quad"].astype(np.intp) * n_bands + table["band"]
+        if np.any(table["quad"] > 1) or np.any(table["band"] >= n_bands) \
+                or len(np.unique(key)) != len(key):
+            raise ProtocolError("plan table is not a band permutation")
+        if np.any(table["repeat_n"] < 1):
+            raise ProtocolError("repeat length below 1")
         n_x = int(np.count_nonzero(keep[:n_sift // 2]))
-        return cls(eta_x, eta_p, keep, band_idx, n_bands, bx, bp, p_pred,
-                   repeat_ns, order, bands.BandSlices(n_x, band_idx, n_bands))
+        return cls(eta_x, eta_p, keep, band_idx, table,
+                   bands.BandSlices(n_x, band_idx, n_bands))
 
 
 def band_plan(ps, est, config):
-    """The receiver's plan from his post-selection: keep mask, partition
-    boundaries and band index, predicted errors, repeat lengths and order."""
-    p_pred = predicted_band_errors(ps.kept.u, ps.slices)
-    repeat_ns = {
-        key: reconcile.choose_repeat_n(p, config.ad_target, config.ad_cap)
-        for key, p in p_pred.items()
-    }
-    part = ps.partition
-    return BandPlan(
-        est.eta("x"), est.eta("p"), ps.mask, part.band_idx, part.n_bands,
-        part.boundaries["x"], part.boundaries["p"], p_pred, repeat_ns,
-        band_processing_order(p_pred), ps.slices,
-    )
-
-
-def predicted_band_errors(u, slices):
-    """Model-predicted error rate per band.
-
-    The mean of the pointwise sign-flip probability over the band's kept
-    points.  It depends only on announced magnitudes, the receiver's own
-    measurements and the channel estimate, so the receiving party can
-    compute it without reference bits and announce it; this drives the
-    repeat-code length and Cascade block sizing in both run modes.
+    """The receiver's plan from his post-selection: keep mask, band index
+    and one row per band, from lowest to highest predicted error; ties go
+    x before p, then by band.  A band's predicted error, the mean of the
+    pointwise flip probability over its kept bits, needs no reference bits;
+    it sets the repeat length and Cascade's block sizes in both run modes.
     """
-    return slices.means(security.error_probability_u(u))
-
-
-def band_processing_order(p_pred):
-    """(quad, band) pairs from lowest to highest predicted error; ties go
-    x before p, then by band."""
-    return sorted(p_pred, key=lambda key: (p_pred[key],
-                                           QUADRATURES.index(key[0]), key[1]))
-
-
-def eve_band_bounds(iae, slices):
-    """Per-band information-equivalent Eve error bound on the kept points.
-
-    The band's mean of Eve's information bound ``iae`` is converted to the
-    error probability of a binary channel with that capacity (her
-    modulation-averaged knowledge expressed as a single error rate).
-    """
-    means = slices.means(iae)
-    bounds = security.inverse_binary_entropy(
-        1.0 - np.minimum(list(means.values()), 1.0))
-    return {key: float(p) for key, p in zip(means, bounds)}
+    p_pred = ps.slices.means(security.error_probability_u(ps.kept.u)).ravel()
+    # a stable sort of the (quadrature, band) means breaks ties in that order
+    order = np.argsort(p_pred, kind="stable")
+    table = np.zeros(len(order), PLAN_BAND)
+    table["quad"], table["band"] = np.divmod(order, ps.slices.n_bands)
+    table["p_pred"] = p_pred[order]
+    table["repeat_n"] = [
+        reconcile.choose_repeat_n(p, config.ad_target, config.ad_cap)
+        for p in table["p_pred"].tolist()]
+    return BandPlan(est.eta("x"), est.eta("p"), ps.mask,
+                    ps.partition.band_idx, table, ps.slices)
 
 
 def band_records(plan, eve_info):
     """The band records both parties derive from the plan and Eve's
-    information bound per kept bit, in processing order."""
-    eve_bounds = eve_band_bounds(eve_info, plan.slices)
+    information bound per kept bit, in processing order.  Eve's error bound
+    in a band is that of the binary channel whose capacity is the band's
+    mean of ``eve_info``."""
+    eve_error = security.inverse_binary_entropy(
+        1.0 - np.minimum(plan.slices.means(eve_info), 1.0)).tolist()
     records = []
-    for key in plan.order:
-        s = plan.slices[key]
-        records.append(BandRecord(*key, 0.0, plan.p_pred[key],
-                                  eve_bounds[key], plan.repeat_ns[key],
+    for qi, k, repeat_n, p_pred in plan.table.tolist():
+        s = plan.slices[qi, k]
+        records.append(BandRecord(QUADRATURES[qi], k, 0.0, p_pred,
+                                  eve_error[qi][k], repeat_n,
                                   s.stop - s.start))
     return records
 

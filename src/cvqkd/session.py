@@ -31,6 +31,10 @@ from .errors import ProtocolAbort, ProtocolError, VerificationFailedError
 from .wire import AUTH_TAG, MsgType
 
 
+# the most symbols a serve side accepts in a HELLO: every per-symbol array
+# is sized from it before any symbol arrives
+MAX_SESSION_SYMBOLS = 1 << 25
+
 # a body's tag, Cascade kind byte and u64 parity and hash counts: all the
 # audit reads
 HEAD_BYTES = 33
@@ -325,11 +329,15 @@ def run_alice(reader, writer, config, sink=None):
 def _decode_config(payload):
     """The HELLO configuration; a malformed one is a protocol error."""
     try:
-        return pipeline.PipelineConfig.from_text(payload.decode())
+        config = pipeline.PipelineConfig.from_text(payload.decode())
     # UnicodeDecodeError and InvalidConfigError are ValueErrors; int() of
     # an infinite float raises OverflowError
     except (ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad session config: {exc}") from None
+    if config.n_symbols > MAX_SESSION_SYMBOLS:
+        raise ProtocolError(f"bad session config: n_symbols="
+                            f"{config.n_symbols} above {MAX_SESSION_SYMBOLS}")
+    return config
 
 
 def _recv_plan(t, n_sift, n_bands):

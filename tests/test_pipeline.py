@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cvqkd import bands
 from cvqkd.errors import InvalidConfigError, VerificationFailedError
 from cvqkd.pipeline import (
     PipelineConfig,
+    band_plan,
     ledger_text,
     reveal_indices,
     run_pipeline,
@@ -21,9 +25,16 @@ def _config(**kw):
 
 
 def test_config_text_roundtrip():
-    cfg = _config(doubled_exponent=True, holdout=True)
+    cfg = PipelineConfig(
+        loss=0.3, var_mod=2.5, n_symbols=12_345, n_bands=7, seed=9,
+        security_bits=11, reveal_fraction=0.07, min_reveal=1500,
+        cascade_passes=5, ad_target=0.09, ad_cap=6, doubled_exponent=True,
+        holdout=True, symbol_rate=1e6)
+    assert all(getattr(cfg, f.name) != f.default
+               for f in dataclasses.fields(cfg))
     back = PipelineConfig.from_text(cfg.to_text())
     assert back == cfg
+    assert PipelineConfig.from_text("var_mod=").var_mod is None
     flags = PipelineConfig.from_text("holdout=YES\ndoubled_exponent=False")
     assert flags.holdout and not flags.doubled_exponent
 
@@ -35,6 +46,21 @@ def test_config_validation():
         _config(n_symbols=100)
     with pytest.raises(InvalidConfigError):
         _config(var_mod=-1.0)
+
+
+def test_band_plan_breaks_ties_x_before_p_then_by_band():
+    # 3 bands: x holds bands 0, 0, 1 and p bands 0, 0, so x2, p1 and p2 are
+    # empty (p_pred 0.0), x0 and p0 tie, and x1 (lower u) comes last
+    band_idx = np.array([0, 0, 1, 0, 0], np.uint8)
+    ps = SimpleNamespace(
+        kept=SimpleNamespace(u=np.array([0.3, 0.3, 0.1, 0.3, 0.3])),
+        slices=bands.BandSlices(3, band_idx, 3), mask=np.ones(5, bool),
+        partition=SimpleNamespace(band_idx=band_idx))
+    plan = band_plan(ps, SimpleNamespace(eta=lambda quad: 0.5),
+                     PipelineConfig())
+    assert plan.table[["quad", "band"]].tolist() == [
+        (0, 2), (1, 1), (1, 2), (0, 0), (1, 0), (0, 1)]
+    assert plan.table["p_pred"][:3].tolist() == [0.0] * 3
 
 
 def test_reveal_indices_deterministic_and_sized():

@@ -11,8 +11,8 @@ import pytest
 
 from cvqkd import reconcile, session, wire
 from cvqkd.errors import ProtocolAbort, ProtocolError, VerificationFailedError
-from cvqkd.pipeline import (BandRecord, PipelineConfig, ledger_text,
-                            run_pipeline, sift_layout)
+from cvqkd.pipeline import (PLAN_BAND, BandPlan, BandRecord, PipelineConfig,
+                            ledger_text, run_pipeline, sift_layout)
 from cvqkd.rng import stream
 from cvqkd.wire import MsgType
 
@@ -182,11 +182,6 @@ def _transport(*frames):
     return session.Transport(_frames(*frames), io.BytesIO())
 
 
-def _sent_abort(t):
-    msg_type, _ = wire.decode_frame(t.writer.getvalue())
-    return msg_type == wire.MsgType.ABORT
-
-
 def _sent_types(data):
     """Message types of the frames written to ``data``, in order."""
     types = []
@@ -240,7 +235,8 @@ def test_short_arrays_are_rejected_with_abort(short):
                                    b"reveal_fraction=1", b"cascade_passes=0",
                                    b"cascade_passes=256", b"ad_cap=-3",
                                    b"holdout=ture",
-                                   b"doubled_exponent=yes please"],
+                                   b"doubled_exponent=yes please",
+                                   b"n_symbols=1e12", b"ad_cap=256"],
                          ids=["bad_float", "not_utf8", "no_equals",
                               "too_few_symbols", "too_many_bands",
                               "empty_value", "overflow", "nan_variance",
@@ -248,7 +244,8 @@ def test_short_arrays_are_rejected_with_abort(short):
                               "zero_security_bits", "negative_reveal",
                               "reveal_all", "no_cascade_passes",
                               "too_many_cascade_passes", "negative_ad_cap",
-                              "misspelt_flag", "flag_with_words"])
+                              "misspelt_flag", "flag_with_words",
+                              "too_many_symbols", "too_long_repeat"])
 def test_bad_hello_is_rejected_with_abort(hello):
     writer = io.BytesIO()
     with pytest.raises(ProtocolError):
@@ -266,11 +263,52 @@ def test_abort_is_recorded():
                                                    ["tx", "ABORT"]]
 
 
-def test_short_plan_is_rejected_with_abort():
-    t = _transport((wire.MsgType.KEEP_MASK, bytes(10)))
+def _plan(fault=None):
+    """A KEEP_MASK payload for 100 sifted positions and 3 bands, with the
+    given fault."""
+    keep = np.arange(100) % 2 == 0
+    band_idx = np.arange(50, dtype=np.uint8) % 3
+    table = np.zeros(6, PLAN_BAND)
+    table["quad"], table["band"] = np.divmod(np.arange(6), 3)
+    table["repeat_n"] = 1
+    if fault == "quad_above_1":
+        table["quad"][5] = 2
+    elif fault == "band_out_of_range":
+        table["band"][5] = 3
+    elif fault == "band_twice":
+        table["band"][5] = 1
+    elif fault == "repeat_below_1":
+        table["repeat_n"][2] = 0
+    elif fault == "mask_length":
+        keep = np.append(keep, False)
+    elif fault == "kept_count":
+        keep[1] = True
+    elif fault == "band_index_out_of_range":
+        band_idx[7] = 3
+    payload = BandPlan(0.5, 0.5, keep, band_idx, table, None).pack()
+    row = PLAN_BAND.itemsize
+    return {"short": payload[:10], "row_missing": payload[:-row],
+            "row_extra": payload + payload[-row:],
+            "byte_extra": payload + b"\0"}.get(fault, payload)
+
+
+def test_plan_roundtrips():
+    plan = BandPlan.unpack(_plan(), 100, 3)
+    assert plan.keep.tolist() == (np.arange(100) % 2 == 0).tolist()
+    assert plan.table.tobytes() == _plan()[-6 * PLAN_BAND.itemsize:]
+    # row 4 is band p1: the kept p bits are 25-49, and band 1 every third
+    assert plan.split(np.arange(50))[4].tolist() == list(range(25, 50, 3))
+
+
+@pytest.mark.parametrize("fault", [
+    "short", "row_missing", "row_extra", "byte_extra", "quad_above_1",
+    "band_out_of_range", "band_twice", "repeat_below_1", "mask_length",
+    "kept_count", "band_index_out_of_range"])
+def test_bad_plan_is_rejected_with_abort(fault):
+    t = _transport((MsgType.KEEP_MASK, _plan(fault)))
     with pytest.raises(ProtocolError):
-        session._recv_plan(t, 1000, 6)
-    assert _sent_abort(t)
+        session._recv_plan(t, 100, 3)
+    assert _sent_types(t.writer.getvalue()) == [MsgType.ABORT]
 
 
 def _step(starts=(), queries=(), hashes=(), counts=None, n_bands=2):
