@@ -74,14 +74,13 @@ def main(argv=None):
         PATH.write_text(json.dumps(got, indent=1) + "\n")
         return 0
     want = json.loads(PATH.read_text())
-    diff = [f"{name} seed {seed}" for name in sorted(set(want) | set(got))
-            for seed in sorted(set(want.get(name, {}))
-                               | set(got.get(name, {})), key=int)
-            if want.get(name, {}).get(seed) != got.get(name, {}).get(seed)]
+    diff = [f"{name} seed {seed}" for name, runs in got.items()
+            for seed, pair in runs.items()
+            if want.get(name, {}).get(seed) != pair]
     for line in diff:
         print("differs:", line)
     print(f"{len(diff)} of {sum(map(len, got.values()))} runs differ")
-    return 1 if diff else 0
+    return 0 if got == want else 1
 
 
 if __name__ == "__main__":
