@@ -79,12 +79,9 @@ def build_config(args):
             config = pipeline.PipelineConfig.from_text(fh.read())
     else:
         config = pipeline.PipelineConfig()
-    for name in ("loss", "n_symbols", "var_mod", "n_bands", "seed",
-                 "security_bits", "doubled_exponent", "holdout",
-                 "symbol_rate"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(config, name, val)
+    for field in dataclasses.fields(config):
+        if (val := getattr(args, field.name, None)) is not None:
+            setattr(config, field.name, val)
     if getattr(args, "optimize_var", False):
         config.var_mod = None
     config.n_symbols = int(config.n_symbols)

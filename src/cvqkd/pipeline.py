@@ -376,11 +376,11 @@ def _local_distill(seed, records, strings):
 
 
 def _local_correct(bands, passes):
-    oracles = [reconcile.ParityOracle(bits[0], factory)
+    oracles = [reconcile.ParityOracle(bits[0], factory, passes)
                for bits, _, factory in bands]
     results = reconcile.cascade_bands(
         [(bits[1], beta, factory) for bits, beta, factory in bands],
-        functools.partial(reconcile.answer, oracles, passes), passes)
+        functools.partial(reconcile.answer, oracles), passes)
     return [(np.stack([oracle.bits, res.bits]), res.leaked_bits)
             for oracle, res in zip(oracles, results)]
 

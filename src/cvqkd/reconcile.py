@@ -133,54 +133,61 @@ def _prefix_xor(bits):
 class ParityOracle:
     """Alice's side of Cascade: answers parity queries on her bit string.
 
-    ``start`` fixes the per-attempt permutations (derived from a stream the
-    querying side derives identically); ``parities`` answers a batch of
-    half-open ranges in permuted coordinates and counts every answered bit
-    as disclosed; ``hash64`` ends the attempt.
+    An attempt begins with the first ``parities`` after construction or
+    after a hash: ``start`` counts it and fixes its ``passes``
+    permutations (from a stream the querying side derives identically).
+    ``parities`` answers a batch of half-open ranges in permuted
+    coordinates and counts every answered bit as disclosed; ``hash64``
+    ends the attempt.
     """
 
-    def __init__(self, bits, perm_stream_factory):
+    def __init__(self, bits, perm_stream_factory, passes=CASCADE_PASSES):
         self.bits = np.asarray(bits, dtype=np.uint8)
+        self.passes = passes
         self._perm_stream_factory = perm_stream_factory
-        self._prefix = None
+        self._prefix = None  # the live attempt's permuted prefix parities
+        self.attempts = 0
+        self.asked = 0  # parities answered in the live attempt
         self.disclosed_bits = 0
 
-    def start(self, attempt, passes):
-        rng = self._perm_stream_factory(attempt)
+    @property
+    def live(self):
+        return self._prefix is not None
+
+    def start(self):
+        rng = self._perm_stream_factory(self.attempts)
         n = len(self.bits)
         self._prefix = _prefix_xor(np.array(
-            [self.bits[rng.permutation(n)] for _ in range(passes)]))
+            [self.bits[rng.permutation(n)] for _ in range(self.passes)]))
+        self.attempts += 1
 
     def parities(self, queries):
         """queries: (k, 3) int array of (pass_index, lo, hi) rows, half-open
         ranges in permuted coords; one parity per row."""
+        if self._prefix is None:
+            self.start()
         pi, lo, hi = np.asarray(queries).T
+        self.asked += len(pi)
         self.disclosed_bits += len(pi)
         return self._prefix[pi, hi] ^ self._prefix[pi, lo]
 
     def hash64(self):
         self.disclosed_bits += HASH_BITS
         self._prefix = None  # the attempt is over; a retry starts afresh
+        self.asked = 0
         return poly_hash64(self.bits)
 
 
-# a Cascade step machine's requests: START (of an attempt; not answered),
-# PARITIES (a (k, 3) query array) and HASH
-START, PARITIES, HASH = 0, 1, 2
+# a Cascade step machine's requests: PARITIES (a (k, 3) query array) and
+# HASH
+PARITIES, HASH = 0, 1
 
 
-def answer(oracles, passes, requests):
+def answer(oracles, requests):
     """{band: answer} to one step's (band, kind, argument) requests, each
     answered by that band's oracle."""
-    answers = {}
-    for band, kind, arg in requests:
-        if kind == START:
-            oracles[band].start(arg, passes)
-        elif kind == PARITIES:
-            answers[band] = oracles[band].parities(arg)
-        else:
-            answers[band] = oracles[band].hash64()
-    return answers
+    return {band: oracles[band].parities(arg) if kind == PARITIES
+            else oracles[band].hash64() for band, kind, arg in requests}
 
 
 @dataclass
@@ -195,7 +202,7 @@ def _queries(pi, lo, hi):
     return np.column_stack((np.full(len(lo), pi), lo, hi))
 
 
-def _cascade_attempt(bob, attempt, beta_est, passes, perm_rng):
+def _cascade_attempt(bob, beta_est, passes, perm_rng):
     """One Cascade attempt as a step machine: yields its requests and
     returns (corrected bob bits, corrections).
 
@@ -204,11 +211,12 @@ def _cascade_attempt(bob, attempt, beta_est, passes, perm_rng):
     disclosed) that Bob's parity no longer matches, and bisects the
     smallest such range in each top-level block, one parity batch per
     level; each answer makes both halves known.  The found bits are
-    flipped at the end of the wave.
+    flipped at the end of the wave.  Each honest flip mends a true error,
+    so an attempt that flips more bits than the string holds has been
+    answered inconsistently and fails.
     """
     n = len(bob)
     k1 = max(2, min(n, math.ceil(CASCADE_BLOCK_FACTOR / max(beta_est, 1e-4))))
-    yield START, attempt
     # the smallest integer type that holds every position
     perms = [perm_rng.permutation(n).astype(np.min_scalar_type(n))
              for _ in range(passes)]
@@ -251,6 +259,9 @@ def _cascade_attempt(bob, attempt, beta_est, passes, perm_rng):
             known[opi] = tuple(map(np.concatenate, zip(*new)))
             bob[perms[opi][lo_s]] ^= 1
             corrections += len(lo_s)
+            if corrections > n:
+                raise VerificationFailedError(
+                    f"Cascade flipped {corrections} of {n} bits")
     return bob, corrections
 
 
@@ -264,8 +275,7 @@ def _cascade_band(bob_bits, beta_est, perm_stream_factory, passes):
     total_corrected = 0
     for attempt in range(CASCADE_ATTEMPTS):
         bob, corrected = yield from _cascade_attempt(
-            bob, attempt, beta_est * 2**attempt, passes,
-            perm_stream_factory(attempt))
+            bob, beta_est * 2**attempt, passes, perm_stream_factory(attempt))
         total_corrected += corrected
         a_hash = yield HASH, None
         if poly_hash64(bob) == a_hash:
@@ -292,9 +302,6 @@ def cascade_bands(bands, exchange, passes=CASCADE_PASSES):
         for b in list(machines):
             try:
                 kind, arg = machines[b].send(answers.get(b))
-                if kind == START:  # rides in the step of the first parities
-                    requests.append((b, kind, arg))
-                    kind, arg = machines[b].send(None)
             except StopIteration as stop:
                 bits, attempts, corrected = stop.value
                 results[b] = CascadeResult(bits, leaked[b], attempts,
@@ -308,13 +315,12 @@ def cascade_bands(bands, exchange, passes=CASCADE_PASSES):
     return results
 
 
-def cascade_correct(bob_bits, oracle, beta_est, perm_stream_factory,
-                    passes=CASCADE_PASSES):
+def cascade_correct(bob_bits, oracle, beta_est, perm_stream_factory):
     """Correct Bob's bits toward the oracle's: ``cascade_bands`` on one
-    band."""
+    band, with the oracle's passes."""
     return cascade_bands([(bob_bits, beta_est, perm_stream_factory)],
-                         functools.partial(answer, [oracle], passes),
-                         passes)[0]
+                         functools.partial(answer, [oracle]),
+                         oracle.passes)[0]
 
 
 def cascade(alice_bits, bob_bits, beta_est, seed_stream_factory,
@@ -328,9 +334,9 @@ def cascade(alice_bits, bob_bits, beta_est, seed_stream_factory,
         raise InvalidConfigError("length mismatch")
     if not 0.0 < beta_est < 0.5:
         beta_est = min(max(beta_est, 1e-3), 0.49)
-    oracle = ParityOracle(alice_bits, seed_stream_factory)
-    return cascade_correct(bob_bits, oracle, beta_est, seed_stream_factory,
-                           passes), oracle
+    oracle = ParityOracle(alice_bits, seed_stream_factory, passes)
+    return cascade_correct(bob_bits, oracle, beta_est,
+                           seed_stream_factory), oracle
 
 
 def eve_error_after_leak(p_eve, leaked_bits, length):

@@ -35,9 +35,9 @@ from .wire import AUTH_TAG, MsgType
 # is sized from it before any symbol arrives
 MAX_SESSION_SYMBOLS = 1 << 25
 
-# a body's tag, Cascade kind byte and u64 parity and hash counts: all the
+# a body's tag and a Cascade step's u64 parity and hash counts: all the
 # audit reads
-HEAD_BYTES = 33
+HEAD_BYTES = 32
 
 
 class Transport:
@@ -111,31 +111,26 @@ class SessionResult:
 # PipelineConfig keeps passes <= 255
 _CASCADE_QUERY = np.dtype([("band", "<u2"), ("pi", "u1"), ("lo", "<u8"),
                            ("hi", "<u8")])
-# a CASCADE_REQ's kind byte and its parity and hash counts (all the audit
-# reads); a step without requests ends Cascade
-_STEP_HEAD, _STEP = struct.Struct("<BQQ"), 1
+# a CASCADE_REQ's parity and hash counts (all the audit reads); a step
+# without requests ends Cascade
+_STEP_HEAD = struct.Struct("<QQ")
 
 
 def _bob_exchange(t, n_bands, requests):
     """One Cascade step over the wire: one request and one answer frame."""
-    marks = np.zeros((2, n_bands), np.uint8)  # attempt + 1 started, hashed
-    queries = []
-    for b, kind, arg in requests:
-        if kind == reconcile.START:
-            marks[0, b] = arg + 1
-        elif kind == reconcile.HASH:
-            marks[1, b] = 1
-        else:
-            queries.append((b, arg))
+    queries = [(b, arg) for b, kind, arg in requests
+               if kind == reconcile.PARITIES]
+    hashed = np.zeros(n_bands, np.uint8)
+    hashed[[b for b, kind, _ in requests if kind == reconcile.HASH]] = 1
     sizes = [len(q) for _, q in queries]
     packed = np.zeros(sum(sizes), _CASCADE_QUERY)
     if queries:
         packed["band"] = np.repeat([b for b, _ in queries], sizes)
         packed["pi"], packed["lo"], packed["hi"] = np.concatenate(
             [q for _, q in queries]).T
-    hashes = np.flatnonzero(marks[1]).tolist()
-    t.send(MsgType.CASCADE_REQ, _STEP_HEAD.pack(_STEP, len(packed), len(
-        hashes)) + marks.tobytes() + packed.tobytes())
+    hashes = np.flatnonzero(hashed).tolist()
+    t.send(MsgType.CASCADE_REQ, _STEP_HEAD.pack(len(packed), len(hashes))
+           + hashed.tobytes() + packed.tobytes())
     _, payload = t.recv(MsgType.CASCADE_RESP)
     bits, values = t.decode(_cascade_answers, payload, len(packed),
                             len(hashes))
@@ -155,67 +150,57 @@ def _cascade_answers(payload, n_parities, n_hashes):
     return bits, np.frombuffer(payload[off:], "<u8").tolist()
 
 
-def _cascade_request(payload, n, passes, live, next_attempt):
-    """A Cascade step's (band, kind, argument) requests for
-    ``reconcile.answer``, starts first, checked against each band's length
-    ``n``, the pass count, the bands in a live attempt and each band's next
-    attempt."""
-    kind, n_parities, n_hashes = _STEP_HEAD.unpack(
+def _cascade_request(payload, oracles):
+    """A Cascade step's (band, (k, 3) parity ranges) groups and hashed
+    bands, checked against the bands' oracles: each range against its
+    band's length and passes; parities that begin an attempt only below
+    the attempt limit, and at most passes * n of them per attempt; a hash
+    only of a band live once the step's parities are counted."""
+    n_parities, n_hashes = _STEP_HEAD.unpack(
         wire.take(payload, 0, _STEP_HEAD.size))
-    if kind != _STEP:
-        raise ProtocolError(f"bad cascade kind {kind}")
-    off = _STEP_HEAD.size + 2 * len(n)
-    starts, hashes = np.frombuffer(wire.take(
-        payload, _STEP_HEAD.size, 2 * len(n)), np.uint8).reshape(2, -1)
-    q = np.frombuffer(wire.take(payload, off, _CASCADE_QUERY.itemsize
-                                * n_parities), _CASCADE_QUERY)
-    begin = starts > 0
-    if np.any(begin & (live | (starts > reconcile.CASCADE_ATTEMPTS)
-                       | (starts.astype(np.intp) - 1 != next_attempt))):
-        raise ProtocolError("Cascade attempt does not follow its band's last")
-    live = live | begin
-    if np.any(hashes > live) or np.count_nonzero(hashes) != n_hashes:
+    hashes = np.frombuffer(wire.take(payload, _STEP_HEAD.size, len(oracles)),
+                           np.uint8)
+    q = np.frombuffer(wire.take(payload, _STEP_HEAD.size + len(oracles),
+                                _CASCADE_QUERY.itemsize * n_parities),
+                      _CASCADE_QUERY)
+    band = q["band"].astype(np.intp)
+    if np.any(band >= len(oracles)) or np.any(np.diff(band) < 0):
+        raise ProtocolError("Cascade queries of bands out of range or order")
+    n, passes, attempts, asked, live = np.array(
+        [(len(o.bits), o.passes, o.attempts, o.asked, o.live)
+         for o in oracles], np.int64).T
+    counts = np.bincount(band, minlength=len(oracles))
+    begin = (counts > 0) & (live == 0)
+    if np.any(begin & (attempts >= reconcile.CASCADE_ATTEMPTS)):
+        raise ProtocolError(f"Cascade attempt past the last of "
+                            f"{reconcile.CASCADE_ATTEMPTS}")
+    if np.any(asked + counts > passes * n):
+        raise ProtocolError("Cascade parities past passes * n in an attempt")
+    if np.any(hashes > (live | begin)) or np.count_nonzero(hashes) != n_hashes:
         raise ProtocolError("Cascade hashes of bands outside an attempt, "
                             "or other than counted")
-    band = q["band"].astype(np.intp)
-    if np.any(band >= len(n)) or np.any(np.diff(band) < 0):
-        raise ProtocolError("Cascade queries of bands out of range or order")
-    bad = np.flatnonzero(~live[band] | (q["pi"] >= passes)
-                         | (q["lo"] >= q["hi"]) | (q["hi"] > n[band]))
+    bad = np.flatnonzero((q["pi"] >= passes[band]) | (q["lo"] >= q["hi"])
+                         | (q["hi"] > n[band]))
     if len(bad):
         b, pi, lo, hi = q[bad[0]].tolist()
         raise ProtocolError(f"Cascade query (band {b}, pass {pi}, bits "
-                            f"{lo}:{hi}) outside an attempt of {passes} "
-                            f"passes of {n[b]}")
-    cuts = np.flatnonzero(np.diff(band)) + 1
-    groups = zip(np.split(band, cuts), np.split(np.column_stack(
-        (q["pi"], q["lo"], q["hi"])), cuts))
-    return ([(b, reconcile.START, a - 1)
-             for b, a in enumerate(starts.tolist()) if a]
-            + [(int(b[0]), reconcile.PARITIES, part)
-               for b, part in groups if len(b)]
-            + [(b, reconcile.HASH, None)
-               for b in np.flatnonzero(hashes).tolist()])
+                            f"{lo}:{hi}) outside {passes[b]} passes of "
+                            f"{n[b]}")
+    asking = np.flatnonzero(counts)
+    return (list(zip(asking.tolist(), np.split(np.column_stack(
+        (q["pi"], q["lo"], q["hi"])), np.cumsum(counts[asking])[:-1]))),
+            np.flatnonzero(hashes).tolist())
 
 
-def _serve_cascade(t, oracles, passes):
+def _serve_cascade(t, oracles):
     """Answer Cascade steps for every band until an empty step."""
-    n = np.array([len(oracle.bits) for oracle in oracles], np.uint64)
-    live = np.zeros(len(oracles), bool)
-    next_attempt = np.zeros(len(oracles), np.int64)
     while True:
         _, payload = t.recv(MsgType.CASCADE_REQ)
-        requests = t.decode(_cascade_request, payload, n, passes, live,
-                            next_attempt)
-        if not requests:
+        groups, hashed = t.decode(_cascade_request, payload, oracles)
+        if not groups and not hashed:
             return
-        answers = reconcile.answer(oracles, passes, requests)
-        for b, req, _ in requests:
-            live[b] = req != reconcile.HASH
-            next_attempt[b] += req == reconcile.START
-        parities = [answers[b] for b, r, _ in requests
-                    if r == reconcile.PARITIES]
-        hashes = [answers[b] for b, r, _ in requests if r == reconcile.HASH]
+        parities = [oracles[b].parities(part) for b, part in groups]
+        hashes = [oracles[b].hash64() for b in hashed]
         t.send(MsgType.CASCADE_RESP, wire.pack_bits(
             np.concatenate(parities) if parities else [])
             + np.array(hashes, "<u8").tobytes())
@@ -251,9 +236,9 @@ def _bob_distill(t, records, strings):
 
 def _alice_correct(t, bands, passes):
     """Serve Cascade to every band from Alice's strings."""
-    oracles = [reconcile.ParityOracle(bits, factory)
+    oracles = [reconcile.ParityOracle(bits, factory, passes)
                for bits, _, factory in bands]
-    _serve_cascade(t, oracles, passes)
+    _serve_cascade(t, oracles)
     return [(oracle.bits, oracle.disclosed_bits) for oracle in oracles]
 
 
@@ -266,8 +251,7 @@ def _bob_correct(t, bands, passes):
     except VerificationFailedError as exc:
         t.fail(str(exc))
         raise
-    t.send(MsgType.CASCADE_REQ, _STEP_HEAD.pack(_STEP, 0, 0)
-           + bytes(2 * len(bands)))
+    t.send(MsgType.CASCADE_REQ, _STEP_HEAD.pack(0, 0) + bytes(len(bands)))
     return [(res.bits, res.leaked_bits) for res in results]
 
 
@@ -479,7 +463,7 @@ def audit_transcript(transcript):
             (count,) = wire.unpack_from("<Q", payload, 0)
             ad_mask_bits += count
         elif msg_type == MsgType.CASCADE_REQ:
-            _, n_parities, n_hashes = _STEP_HEAD.unpack(
+            n_parities, n_hashes = _STEP_HEAD.unpack(
                 wire.take(payload, 0, _STEP_HEAD.size))
             parity_bits += n_parities
             hash_bits += reconcile.HASH_BITS * n_hashes

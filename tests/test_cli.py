@@ -32,6 +32,18 @@ def test_simulate_config_file_with_overrides(tmp_path, capsys):
     ).to_text())
     rc = cli.main(["simulate", "--config", str(cfg_path), "--seed", "42"])
     assert rc == 0
+    # every flag of add_pipeline_args overrides the file
+    parser = cli.make_parser()
+    flags = ["--config", str(cfg_path), "--loss", "0.6", "--symbols", "2e4",
+             "--bics", "5", "--seed", "7", "--security-bits", "9",
+             "--doubled-exponent", "--holdout", "--bandwidth", "1e6"]
+    assert cli.build_config(parser.parse_args(
+        ["simulate", *flags, "--mod-var", "3"])) == PipelineConfig(
+        loss=0.6, var_mod=3.0, n_symbols=20_000, n_bands=5, seed=7,
+        security_bits=9, doubled_exponent=True, holdout=True,
+        symbol_rate=1e6)
+    assert cli.build_config(parser.parse_args(
+        ["simulate", *flags, "--optimize-var"])).var_mod is None
 
 
 def test_simulate_exits_1_on_empty_key(capsys):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqkd import session, wire
+from cvqkd import reconcile, session, wire
 from cvqkd.errors import ProtocolError
 from cvqkd.pipeline import BandPlan, PipelineConfig
+from cvqkd.rng import stream
 from cvqkd.wire import MsgType
 
 from test_session import _run_session
@@ -68,12 +69,21 @@ def _only_protocol_errors(decoder, *args):
 def test_fuzzed_cascade_requests(corpus, data):
     frames, n = corpus
     payload = data.draw(mutated(frames[MsgType.CASCADE_REQ]))
-    live = np.array(data.draw(st.lists(st.booleans(), min_size=len(n),
-                                       max_size=len(n))))
-    next_attempt = np.array(data.draw(st.lists(
-        st.integers(0, 3), min_size=len(n), max_size=len(n))))
-    _only_protocol_errors(session._cascade_request, payload, n,
-                          CONFIG.cascade_passes, live, next_attempt)
+    oracles = []
+    for length in n.tolist():
+        oracle = reconcile.ParityOracle(np.zeros(length, np.uint8),
+                                        lambda attempt: stream(1, "fuzz"),
+                                        CONFIG.cascade_passes)
+        # attempts begun, and whether the last one is live
+        oracle.attempts, live = data.draw(st.tuples(st.integers(0, 3),
+                                                    st.booleans()))
+        if live and oracle.attempts:
+            oracle.attempts -= 1
+            oracle.start()
+            oracle.asked = data.draw(st.integers(
+                0, CONFIG.cascade_passes * length))
+        oracles.append(oracle)
+    _only_protocol_errors(session._cascade_request, payload, oracles)
 
 
 @FUZZ

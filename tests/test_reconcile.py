@@ -176,7 +176,7 @@ def test_cascade_retries_on_underestimate():
     assert res.attempts >= 1
 
 
-def _sequential_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
+def _sequential_attempt(bob, oracle, beta_est, passes, perm_rng):
     """Reference Cascade attempt with one parity query per bisection step.
 
     Each mismatched top-level block is bisected on its own, from the whole
@@ -186,7 +186,6 @@ def _sequential_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
     n = len(bob)
     k1 = max(2, min(n, math.ceil(reconcile.CASCADE_BLOCK_FACTOR
                                  / max(beta_est, 1e-4))))
-    oracle.start(attempt, passes)
     perms = [perm_rng.permutation(n) for _ in range(passes)]
     inv = [np.argsort(perm) for perm in perms]
     bob = bob.copy()
@@ -225,22 +224,25 @@ def _sequential_attempt(bob, oracle, attempt, beta_est, passes, perm_rng):
 
 
 def _replayed(attempt_fn, alice, factory):
-    """``attempt_fn(bob, oracle, attempt, beta_est, passes, perm_rng)`` as
-    a step machine: it runs against a local oracle on Alice's bits, and its
-    start and parity queries are then sent as requests, so the Cascade
-    ``cascade_bands`` and its oracle count exactly the bits it disclosed."""
+    """``attempt_fn(bob, oracle, beta_est, passes, perm_rng)`` as a step
+    machine: each attempt runs against a local oracle on Alice's bits that
+    a hash then ends, and its parity queries are sent as one request, so
+    the Cascade ``cascade_bands`` and its oracle count exactly the bits it
+    disclosed."""
+    batches = []
 
-    def machine(bob, attempt, beta_est, passes, perm_rng):
-        batches = []
+    class Recorder(reconcile.ParityOracle):
+        def parities(self, queries):
+            batches.append(np.asarray(queries).reshape(-1, 3))
+            return super().parities(queries)
 
-        class Recorder(reconcile.ParityOracle):
-            def parities(self, queries):
-                batches.append(np.asarray(queries).reshape(-1, 3))
-                return super().parities(queries)
+    recorder = Recorder(alice, factory)
 
-        bob, corrections = attempt_fn(bob, Recorder(alice, factory), attempt,
-                                      beta_est, passes, perm_rng)
-        yield reconcile.START, attempt
+    def machine(bob, beta_est, passes, perm_rng):
+        batches.clear()
+        bob, corrections = attempt_fn(bob, recorder, beta_est, passes,
+                                      perm_rng)
+        recorder.hash64()
         yield reconcile.PARITIES, np.concatenate(batches)
         return bob, corrections
 
@@ -290,8 +292,7 @@ def test_cascade_bands_match_cascade_band_by_band():
                for alice, _, _, factory in bands]
     got = reconcile.cascade_bands(
         [(bob, beta_est, factory) for _, bob, beta_est, factory in bands],
-        functools.partial(reconcile.answer, oracles,
-                          reconcile.CASCADE_PASSES))
+        functools.partial(reconcile.answer, oracles))
     attempts = []
     for (alice, bob, beta_est, factory), res, oracle in zip(bands, got,
                                                              oracles):
@@ -307,17 +308,42 @@ def test_cascade_bands_match_cascade_band_by_band():
 
 
 def test_cascade_verification_failure_raises():
-    oracle = reconcile.ParityOracle(np.zeros(64, dtype=np.uint8), _factory(1))
-
     class LyingOracle(reconcile.ParityOracle):
         def hash64(self):
-            self.disclosed_bits += 64
-            return 12345  # never matches
+            return super().hash64() ^ 1  # never matches
 
     lying = LyingOracle(np.zeros(64, dtype=np.uint8), _factory(1))
     with pytest.raises(VerificationFailedError):
         reconcile.cascade_correct(np.ones(64, dtype=np.uint8), lying, 0.1,
                                   _factory(1))
+
+
+def test_cascade_on_inconsistent_parities_ends():
+    """Parities of other permutations than Bob's make his flips mend
+    nothing: an attempt spun on ranges of one bit without asking for
+    anything, and now ends in VerificationFailedError once it has flipped
+    more bits than the string holds."""
+    rng = stream(12, "test", "cascade-spin")
+    alice = rng.integers(0, 2, 2000, dtype=np.uint8)
+    bob = alice ^ (rng.random(2000) < 0.05).astype(np.uint8)
+    oracle = reconcile.ParityOracle(alice, _factory(601))
+    with pytest.raises(VerificationFailedError, match="flipped"):
+        reconcile.cascade_correct(bob, oracle, 0.05, _factory(600))
+
+
+def test_oracle_draws_each_attempts_permutations_on_its_first_parities():
+    """Parities after a hash begin the next attempt, with the permutations
+    of that attempt's stream."""
+    bits = stream(13, "test", "oracle-bits").integers(0, 2, 100, np.uint8)
+    oracle = reconcile.ParityOracle(bits, _factory(700), passes=1)
+    for attempt in range(3):
+        got = oracle.parities([[0, 0, 1], [0, 1, 2]])
+        assert oracle.live and oracle.attempts == attempt + 1
+        perm = _factory(700)(attempt).permutation(100)
+        assert got.tolist() == bits[perm[:2]].tolist()
+        oracle.hash64()
+        assert not oracle.live and oracle.asked == 0
+    assert oracle.disclosed_bits == 3 * (2 + reconcile.HASH_BITS)
 
 
 def test_eve_error_after_leak_monotone():

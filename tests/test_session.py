@@ -311,17 +311,14 @@ def test_bad_plan_is_rejected_with_abort(fault):
     assert _sent_types(t.writer.getvalue()) == [MsgType.ABORT]
 
 
-def _step(starts=(), queries=(), hashes=(), counts=None, n_bands=2):
-    """A Cascade step frame for ``n_bands`` bands: (band, attempt) starts,
-    (band, pass, lo, hi) queries and the bands it hashes, each hash mark
-    adding 1; ``counts`` replaces the (parities, hashes) counts of its
-    head."""
-    marks = np.zeros((2, n_bands), np.uint8)
-    for band, attempt in starts:
-        marks[0, band] = attempt + 1
+def _step(queries=(), hashes=(), counts=None, n_bands=2):
+    """A Cascade step frame for ``n_bands`` bands: (band, pass, lo, hi)
+    queries and the bands it hashes, each hash mark adding 1; ``counts``
+    replaces the (parities, hashes) counts of its head."""
+    marks = np.zeros(n_bands, np.uint8)
     for band in hashes:
-        marks[1, band] += 1
-    return (struct.pack("<BQQ", 1, *(counts or (len(queries), len(hashes))))
+        marks[band] += 1
+    return (struct.pack("<QQ", *(counts or (len(queries), len(hashes))))
             + marks.tobytes()
             + b"".join(struct.pack("<HBQQ", *e) for e in queries))
 
@@ -332,69 +329,76 @@ def _oracles(count):
             for _ in range(count)]
 
 
-S0 = [(0, 0)]  # band 0 starts its first attempt
+Q0 = [(0, 0, 0, 10)]  # one range of band 0
+# every one-bit range of band 0 in each of 4 passes, and one more
+OVER_CAP = [(0, i // 100 % 4, i % 100, i % 100 + 1) for i in range(401)]
 
 
 @pytest.mark.parametrize("frame", [
     # pass, range and count faults
-    _step(S0, [(0, 9, 0, 10)]),
-    _step(S0, [(0, 0, 0, 10**6)]),
-    _step(S0, [(0, 0, 5, 5)]),
-    _step(S0, [(0, 0, 0, 10), (0, 1, 10, 101), (0, 2, 20, 30)]),
-    _step(S0, [(0, 0, 0, 10), (0, 3, 90, 100), (0, 4, 0, 10)]),
-    _step(S0, [(0, 0, 0, 10)], counts=(2, 0)),
-    # band tags, attempts, hashes and counts
-    _step(S0, [(2, 0, 0, 10)]),
-    _step(S0, [(1, 0, 0, 10)]),
-    _step(S0, [(0, 0, 0, 10)], [1]),
-    _step(S0, [], [0, 0]),
-    _step(S0, [], [0], counts=(0, 2)),
-    _step(S0, [(0, 0, 0, 10)], counts=(1, 1)),
-    _step([(0, 1)], [(0, 0, 0, 10)]),
-    _step([(0, 3)], [(0, 0, 0, 10)]),
-    _step([(0, 0), (1, 0)], [(1, 0, 0, 10), (0, 0, 0, 10)]),
-    _step(S0, [(0, 0, 0, 10)])[:18],
-    _step(S0, [(0, 0, 0, 10)], n_bands=1),
-    b"\x02" + _step(S0)[1:],
-    b"\x01" + bytes(3),
+    _step([(0, 9, 0, 10)]),
+    _step([(0, 0, 0, 10**6)]),
+    _step([(0, 0, 5, 5)]),
+    _step([(0, 0, 0, 10), (0, 1, 10, 101), (0, 2, 20, 30)]),
+    _step([(0, 0, 0, 10), (0, 3, 90, 100), (0, 4, 0, 10)]),
+    _step(Q0, counts=(2, 0)),
+    _step(OVER_CAP),
+    # band tags, hashes and counts
+    _step([(2, 0, 0, 10)]),
+    _step(Q0, [1]),
+    _step(Q0, [0, 0]),
+    _step(Q0, [0], counts=(1, 2)),
+    _step(Q0, counts=(1, 1)),
+    _step([(1, 0, 0, 10), (0, 0, 0, 10)]),
+    _step(Q0)[:17],
+    _step(Q0, n_bands=1),
+    bytes(3),
 ], ids=["pass_out_of_range", "range_past_end", "empty_range",
         "past_end_mid_batch", "pass_out_of_range_after_valid",
-        "count_past_payload", "band_out_of_range", "band_not_started",
-        "hash_not_started", "same_band_twice_in_hashes",
+        "count_past_payload", "parities_past_passes_times_n",
+        "band_out_of_range", "hash_not_started", "same_band_twice_in_hashes",
         "hash_count_above_marks", "hash_count_below_marks",
-        "attempt_skipped", "attempt_past_the_limit", "bands_out_of_order",
-        "marks_past_payload", "marks_of_too_few_bands", "bad_kind",
+        "bands_out_of_order", "marks_past_payload", "marks_of_too_few_bands",
         "short_head"])
 def test_bad_cascade_query_is_rejected_with_abort(frame):
     t = _transport((MsgType.CASCADE_REQ, frame))
     oracles = _oracles(2)
     with pytest.raises(ProtocolError):
-        session._serve_cascade(t, oracles, 4)
+        session._serve_cascade(t, oracles)
     assert [oracle.disclosed_bits for oracle in oracles] == [0, 0]
     assert _sent_types(t.writer.getvalue()) == [MsgType.ABORT]
 
 
-@pytest.mark.parametrize("frame,live,next_attempt", [
-    (_step([(0, 1)], [(0, 0, 0, 10)]), [True, False], [1, 0]),
-    (_step([], [(0, 0, 0, 10)]), [False, True], [1, 1]),
-    (_step([], [], [0]), [False, True], [1, 1]),
-], ids=["restart_of_a_live_band", "query_after_hash", "hash_after_hash"])
-def test_cascade_request_checks_the_band_state(frame, live, next_attempt):
+@pytest.mark.parametrize("steps,answered", [
+    # the cap of passes * n parities per attempt, reached across two steps
+    ([_step(OVER_CAP[:400]), _step(Q0)], 1),
+    # an attempt begins with the first parities after a hash, three at most
+    ([_step(Q0), _step(hashes=[0])] * 3 + [_step(Q0)], 6),
+    ([_step(Q0), _step(hashes=[0]), _step(hashes=[0])], 2),
+], ids=["parities_past_the_cap", "attempt_past_the_limit",
+        "hash_after_hash"])
+def test_cascade_request_checks_the_band_state(steps, answered):
+    """Steps checked against the state of the oracles after the steps
+    before them."""
+    t = _transport(*[(MsgType.CASCADE_REQ, step) for step in steps])
+    oracles = _oracles(2)
     with pytest.raises(ProtocolError):
-        session._cascade_request(frame, np.array([100, 100], np.uint64), 4,
-                                 np.array(live), np.array(next_attempt))
+        session._serve_cascade(t, oracles)
+    assert _sent_types(t.writer.getvalue()) == (
+        [MsgType.CASCADE_RESP] * answered + [MsgType.ABORT])
+    assert (oracles[0].attempts, oracles[1].attempts) == (
+        (answered + 1) // 2, 0)
 
 
 def test_cascade_steps_are_answered_in_order():
-    """Starts and queries of two bands, then a query and a hash in one
-    step; an empty step ends Cascade."""
+    """Queries of two bands, then a query and a hash in one step; an empty
+    step ends Cascade."""
     t = _transport(
-        (MsgType.CASCADE_REQ, _step([(0, 0), (1, 0)], [(0, 0, 0, 10),
-                                                       (1, 3, 5, 100)])),
-        (MsgType.CASCADE_REQ, _step([], [(1, 0, 0, 2)], [0])),
+        (MsgType.CASCADE_REQ, _step([(0, 0, 0, 10), (1, 3, 5, 100)])),
+        (MsgType.CASCADE_REQ, _step([(1, 0, 0, 2)], [0])),
         (MsgType.CASCADE_REQ, _step()))
     oracles = _oracles(2)
-    session._serve_cascade(t, oracles, 4)
+    session._serve_cascade(t, oracles)
     assert [o.disclosed_bits for o in oracles] == [65, 2]
     frames = t.writer.getvalue()
     assert _sent_types(frames) == [MsgType.CASCADE_RESP] * 2
@@ -407,11 +411,11 @@ def test_cascade_steps_are_answered_in_order():
 
 def test_cascade_runs_one_batch_per_bisection_level():
     """At criterion 8's configuration, the sequential Cascade (one parity
-    query per bisection step) sent 3,251 kind-1 CASCADE_REQ frames."""
+    query per bisection step) sent 3,251 CASCADE_REQ frames."""
     alice, _ = _run_session(PipelineConfig(
         loss=0.54, var_mod=4.0, n_symbols=50_000, n_bands=6, seed=61))
-    batches = sum(1 for _, msg_type, body in alice.transcript
-                  if msg_type == MsgType.CASCADE_REQ and body[16] == 1)
+    batches = sum(1 for _, msg_type, _ in alice.transcript
+                  if msg_type == MsgType.CASCADE_REQ)
     assert batches < 3251 / 10
 
 
@@ -522,12 +526,12 @@ def test_audit_rejects_a_short_head(msg_type, head):
         session.audit_transcript([("rx", msg_type, wire.AUTH_TAG + head)])
 
 
-def test_cascade_failure_ends_both_roles(monkeypatch):
-    """A band whose hashes never match ends the receiver with
-    VerificationFailedError and the sender with ProtocolAbort."""
-    monkeypatch.setattr(reconcile.ParityOracle, "hash64",
-                        lambda self: 12345)  # never Bob's hash
+def _failed_cascade_session():
+    """A session of SHORT_CONFIG whose receiver must end in
+    VerificationFailedError, after an ABORT that ends the sender in
+    ProtocolAbort; returns the receiver's error message."""
     sa, sb = socket.socketpair()
+    sa.settimeout(60)  # a receiver that spins fails the test, not hangs it
     errors = {}
 
     def bob():
@@ -546,3 +550,26 @@ def test_cascade_failure_ends_both_roles(monkeypatch):
     assert not t.is_alive() and "bob" in errors
     sa.close()
     sb.close()
+    return str(errors["bob"])
+
+
+def test_cascade_failure_ends_both_roles(monkeypatch):
+    """A band whose hashes never match ends both roles."""
+    hash64 = reconcile.ParityOracle.hash64
+    monkeypatch.setattr(reconcile.ParityOracle, "hash64",
+                        lambda self: hash64(self) ^ 1)  # never Bob's hash
+    assert "3 Cascade attempts" in _failed_cascade_session()
+
+
+def test_inconsistent_parities_end_both_roles(monkeypatch):
+    """A sender that answers from other permutations than the receiver's
+    ends both roles: the receiver's flips mend nothing, and it fails once
+    an attempt has flipped more bits than its band holds."""
+
+    class Shifted(reconcile.ParityOracle):
+        def __init__(self, bits, factory, passes):
+            super().__init__(bits, lambda attempt: factory(attempt + 3),
+                             passes)
+
+    monkeypatch.setattr(reconcile, "ParityOracle", Shifted)
+    assert "flipped" in _failed_cascade_session()
